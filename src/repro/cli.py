@@ -26,8 +26,8 @@ Subcommands:
 - ``profile``   — run one workload under the sampling profiler and print
   where main-loop time goes (tokenize/lookup/update/sync);
 - ``bench-diff`` — compare the latest ``BENCH_HISTORY.jsonl`` entry
-  against a baseline; exits 1 on a perf regression beyond tolerance
-  (CI runs it as a non-gating annotation);
+  against the newest earlier entry of the same profile; exits 1 on a
+  perf regression beyond tolerance (CI gates on it);
 - ``check``     — run the simulator-invariant static-analysis pass
   (determinism lint, bit-width/storage-budget checks, policy-contract
   conformance) over source trees; exits 1 on any non-suppressed error,
@@ -694,6 +694,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_bench_diff(args: argparse.Namespace) -> int:
     """Compare the newest perf-ledger entry against a baseline."""
     from repro.telemetry.bench import (
+        comparable_baseline,
         diff_bench_entries,
         read_bench_history,
         render_bench_diff,
@@ -704,7 +705,14 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
         print(f"repro-sim bench-diff: no entries in {args.history}")
         return 2
     latest = entries[-1]
-    if args.baseline == "first":
+    if args.baseline == "profile":
+        baseline = comparable_baseline(entries)
+        if baseline is None:
+            print(f"repro-sim bench-diff: no comparable baseline for the "
+                  f"newest entry (profile {latest.get('profile')!r}) in "
+                  f"{args.history}")
+            return 0
+    elif args.baseline == "first":
         baseline = entries[0]
     elif args.baseline == "prev":
         baseline = entries[-2] if len(entries) > 1 else entries[0]
@@ -1124,9 +1132,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_diff.add_argument("--history", default="BENCH_HISTORY.jsonl",
                             help="perf ledger path (default: BENCH_HISTORY.jsonl)")
-    bench_diff.add_argument("--baseline", default="first",
-                            help="baseline entry: 'first', 'prev', or an index "
-                                 "(default: first)")
+    bench_diff.add_argument("--baseline", default="profile",
+                            help="baseline entry: 'profile' (the newest earlier "
+                                 "entry with the same profile), 'first', "
+                                 "'prev', or an index (default: profile)")
     bench_diff.add_argument("--tolerance", type=float, default=0.10,
                             help="allowed fractional slowdown before flagging "
                                  "a regression (default: 0.10)")

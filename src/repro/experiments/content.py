@@ -25,7 +25,9 @@ Two digests are defined:
   (pickled mid-run engine state).  Unlike results, pickled state *is*
   engine-specific, so the engine name joins the key; the
   ``max_instructions`` field leaves it, so sweeps that differ only in
-  measurement length share one warm-up.
+  measurement length share one warm-up.  The pickle layout's version
+  (:data:`SNAPSHOT_FORMAT`) joins it too, so a snapshot written in an
+  older layout reads as a miss rather than a half-restored engine.
 
 :func:`grid_signature` is the output-side twin: a digest of a
 ``GridResult``'s deterministic fields (wall-clock timings excluded),
@@ -43,6 +45,7 @@ from repro.workloads.suite import Workload
 
 __all__ = [
     "CELL_DIGEST_SCHEMA",
+    "SNAPSHOT_FORMAT",
     "config_payload",
     "workload_payload",
     "cell_digest",
@@ -55,6 +58,12 @@ __all__ = [
 #: Bump when the digest payload shape changes; old cache entries then
 #: miss instead of aliasing new ones.
 CELL_DIGEST_SCHEMA = 1
+
+#: Version of the pickled warm-up snapshot layout, part of every
+#: :func:`warmup_digest`.  Bump it whenever what a snapshot pickles
+#: changes shape (format 2: derivable signature tables and the SDBP
+#: sampler pickle compactly); results and ``cell_digest`` are unaffected.
+SNAPSHOT_FORMAT = 2
 
 
 def _library_version() -> str:
@@ -117,6 +126,7 @@ def warmup_digest(
     payload = {
         "schema": CELL_DIGEST_SCHEMA,
         "kind": "warmup",
+        "snapshot_format": SNAPSHOT_FORMAT,
         "workload": workload_payload(workload),
         "policy": policy,
         "config": fields,

@@ -39,7 +39,7 @@ from repro.kernel.base import (
 from repro.kernel.tokenizer import HAVE_NUMPY
 from repro.policies.ghrp_policy import GHRPBTBPolicy, GHRPPolicy
 from repro.util.bits import mask
-from repro.util.hashing import SkewedIndexTable, skewed_index_columns
+from repro.util.hashing import full_space_table, skewed_index_columns
 
 if HAVE_NUMPY:
     import numpy as _np
@@ -98,10 +98,11 @@ def ghrp_batch_ready(state: "GHRPKernelState") -> bool:
 class GHRPKernelState:
     """Scalar GHRP state held by kernels during a fast run.
 
-    ``tables`` aliases the bank's counter rows; ``lookup`` aliases the
-    bank's signature→indices memo dict (so both engines populate the same
-    cache).  ``spec``/``retired`` mirror the path-history registers and are
-    written back by :meth:`sync`.
+    ``tables`` aliases the bank's counter rows; ``lookup`` is the
+    process-wide full-space signature→indices table (derived from the
+    bank's shape, so a pickled state carries only its key).
+    ``spec``/``retired`` mirror the path-history registers and are written
+    back by :meth:`sync`.
     """
 
     __slots__ = (
@@ -128,7 +129,6 @@ class GHRPKernelState:
         "d_predictions",
         "d_increments",
         "d_decrements",
-        "sig_columns",
     )
 
     def __init__(self, predictor: GHRPPredictor):
@@ -136,11 +136,9 @@ class GHRPKernelState:
         bank = predictor.tables
         self.predictor = predictor
         self.tables = list(bank._tables)  # outer copy, inner rows aliased
-        index_table = SkewedIndexTable(
-            bank.num_tables, bank.index_bits, cache=bank._index_cache
+        self.lookup = full_space_table(
+            bank.num_tables, bank.index_bits, config.signature_bits
         )
-        index_table.precompute(config.signature_bits)
-        self.lookup = index_table.lookup
         self.num_tables = bank.num_tables
         self.index_bits = bank.index_bits
         self.majority = bank.aggregation is Aggregation.MAJORITY
@@ -161,9 +159,6 @@ class GHRPKernelState:
         self.d_predictions = 0
         self.d_increments = 0
         self.d_decrements = 0
-        # (per-table Python-list columns, per-table numpy columns) over the
-        # full signature space; built lazily for batch windows.
-        self.sig_columns = None
 
     def digest(self) -> dict:
         """Canonical export of the shared predictor state (sentinel hook)."""
@@ -179,19 +174,14 @@ class GHRPKernelState:
     def signature_columns(self):
         """Full-space signature → per-table index columns.
 
-        Delegates to the process-wide
-        :func:`repro.util.hashing.skewed_index_columns` memo (bit-identical
-        to ``SkewedIndexTable.indices`` by construction), so rebuilding a
-        front end — every bench round, every sweep cell — reuses the same
-        columns instead of re-deriving the signature space.
+        The process-wide :func:`repro.util.hashing.skewed_index_columns`
+        memo (bit-identical to ``skewed_indices`` by construction): every
+        front end and every unpickled snapshot reuses the same columns, and
+        none of them carries a copy.
         """
-        cached = self.sig_columns
-        if cached is None:
-            cached = skewed_index_columns(
-                self.num_tables, self.index_bits, self.sig_mask.bit_length()
-            )
-            self.sig_columns = cached
-        return cached
+        return skewed_index_columns(
+            self.num_tables, self.index_bits, self.sig_mask.bit_length()
+        )
 
     # ------------------------------------------------------------------
     # Flattened predictor operations (PredictionTableBank/PathHistory twins)
@@ -199,7 +189,7 @@ class GHRPKernelState:
     def predict(self, signature: int, threshold: int) -> bool:
         """``tables.predict(...).is_dead`` without the Vote allocation."""
         self.d_predictions += 1
-        # Direct lookup: precompute() covered the whole signature space.
+        # Direct lookup: the table covers the whole signature space.
         idx = self.lookup[signature]
         if self.majority:
             votes = 0

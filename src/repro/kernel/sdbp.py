@@ -22,7 +22,7 @@ from repro.kernel.base import (
 from repro.kernel.tokenizer import HAVE_NUMPY
 from repro.policies.sdbp import SDBPPolicy
 from repro.util.bits import mask
-from repro.util.hashing import SkewedIndexTable
+from repro.util.hashing import full_space_table, skewed_index_columns
 
 if HAVE_NUMPY:
     import numpy as _np
@@ -47,11 +47,9 @@ class SDBPKernel(CacheKernel):
         self._sampler_clock = policy._sampler_clock
         self._tables_bank = bank
         self._counter_rows = list(bank._tables)  # outer copy, rows aliased
-        index_table = SkewedIndexTable(
-            bank.num_tables, bank.index_bits, cache=bank._index_cache
+        self._lookup = full_space_table(
+            bank.num_tables, bank.index_bits, config.signature_bits
         )
-        index_table.precompute(config.signature_bits)
-        self._lookup = index_table.lookup
         self._num_tables = bank.num_tables
         self._index_bits = bank.index_bits
         self._counter_max = bank.counter_max
@@ -61,7 +59,6 @@ class SDBPKernel(CacheKernel):
         self._bypass_threshold = config.bypass_sum_threshold
         self._d_increments = 0
         self._d_decrements = 0
-        self._sig_columns = None
 
     def state_digest(self) -> dict:
         return {
@@ -83,7 +80,7 @@ class SDBPKernel(CacheKernel):
     # Flattened predictor operations
     # ------------------------------------------------------------------
     def _counter_sum(self, signature: int) -> int:
-        # Direct lookup: precompute() covered the whole signature space.
+        # Direct lookup: the table covers the whole signature space.
         idx = self._lookup[signature]
         total = 0
         for row, index in zip(self._counter_rows, idx, strict=True):
@@ -239,20 +236,10 @@ class SDBPKernel(CacheKernel):
     # Batch executors
     # ------------------------------------------------------------------
     def _signature_columns(self):
-        """Full-space signature → per-table index columns (run-cached)."""
-        cached = self._sig_columns
-        if cached is None:
-            np = _np
-            lookup = self._lookup
-            matrix = np.asarray(
-                [lookup[s] for s in range(self._sig_mask + 1)], dtype=np.int64
-            )
-            columns_np = tuple(
-                np.ascontiguousarray(matrix[:, t]) for t in range(self._num_tables)
-            )
-            cached = (tuple(col.tolist() for col in columns_np), columns_np)
-            self._sig_columns = cached
-        return cached
+        """Full-space signature → per-table index columns (process memo)."""
+        return skewed_index_columns(
+            self._num_tables, self._index_bits, self._sig_mask.bit_length()
+        )
 
     def _make_window(self, plan: WindowPlan):
         # The unrolled vote below assumes the stock three-table bank; any

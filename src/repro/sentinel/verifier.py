@@ -57,9 +57,9 @@ def _seed_memo(memo: dict, parts, obs) -> None:
     """Share immutable/append-only helpers instead of deep-copying them.
 
     Observability handles are swapped for the no-op instance (a shadow
-    engine must not emit into the live run's metrics), and the skewed
-    tables' precomputed signature->indices caches are shared: they are
-    memoized pure-function results, identical for every copy.
+    engine must not emit into the live run's metrics), and the prediction
+    banks' signature->indices memos are shared: they are memoized
+    pure-function results, identical for every copy.
     """
     memo[id(obs)] = NULL_OBS
     memo[id(NULL_OBS)] = NULL_OBS

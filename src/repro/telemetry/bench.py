@@ -4,9 +4,12 @@
 where it *was*.  This module turns it into a trajectory: every
 ``benchmarks/test_kernel_throughput.py`` run appends one JSONL entry,
 and ``repro-sim bench-diff`` compares the latest entry against a
-baseline with a configurable tolerance.  CI runs the diff as a
-non-gating annotation, so a slow drift gets flagged without a noisy
-machine failing the build.
+baseline with a configurable tolerance.  The default baseline is the
+newest earlier entry of the same ``profile`` (:func:`comparable_baseline`):
+absolute throughput is only comparable within one profile, so a ledger
+whose newest entry has no such predecessor reports "no comparable
+baseline" instead of gating against another profile's numbers.  CI runs
+the diff gating, at the Makefile's 15% tolerance.
 
 Timestamps come from the CI environment (``GITHUB_RUN_ID``,
 ``GITHUB_SHA``, ``SOURCE_DATE_EPOCH``) when available, wall clock
@@ -27,6 +30,7 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "append_bench_history",
     "read_bench_history",
+    "comparable_baseline",
     "diff_bench_entries",
     "render_bench_diff",
     "PolicyDiff",
@@ -85,6 +89,17 @@ def read_bench_history(path) -> list[dict]:
         if line:
             entries.append(json.loads(line))
     return entries
+
+
+def comparable_baseline(entries: list[dict]) -> dict | None:
+    """The newest entry before the last one with the same ``profile``."""
+    if not entries:
+        return None
+    profile = entries[-1].get("profile")
+    for entry in reversed(entries[:-1]):
+        if entry.get("profile") == profile:
+            return entry
+    return None
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,7 +21,8 @@ __all__ = [
     "mix64",
     "skewed_indices",
     "skewed_index_columns",
-    "SkewedIndexTable",
+    "full_space_table",
+    "FullSpaceIndexTable",
 ]
 
 _U64 = (1 << 64) - 1
@@ -88,129 +89,79 @@ def skewed_indices(signature: int, num_tables: int, index_bits: int) -> tuple[in
     )
 
 
-class SkewedIndexTable:
-    """Signature → per-table-indices lookup table.
+class FullSpaceIndexTable(dict):
+    """Signature → per-table indices over a whole signature space.
 
     Signatures are narrow (12-16 bits), so the whole hash pipeline is
-    memoizable: the batched simulation kernel resolves a signature to its
+    tabulable: the batched simulation kernels resolve a signature to its
     ``num_tables`` indices with one dict lookup instead of ``num_tables``
-    splitmix64 rounds.  Pass ``cache`` to share the memo dict with an
-    existing :class:`~repro.core.tables.PredictionTableBank` so both paths
-    populate (and benefit from) the same table.
-
-    Misses compute the same pipeline as :func:`skewed_indices` with the
-    mixer and XOR fold inlined (bit-identical, roughly an order of
-    magnitude cheaper); :meth:`precompute` fills the whole signature space
-    at once, vectorized when numpy is importable.
+    splitmix64 rounds.  The table is a pure function of :attr:`key`
+    ``(num_tables, index_bits, signature_bits)``, built once per process
+    by :func:`full_space_table` and never mutated afterwards, so kernels
+    index it directly with no miss path.  It pickles as its key and
+    unpickles as the receiving process's own memo: an engine snapshot
+    carries three integers instead of the table, and every kernel that
+    shared the table before pickling shares it afterwards.
     """
 
-    __slots__ = ("num_tables", "index_bits", "_cache")
+    __slots__ = ("key",)
 
-    def __init__(
-        self,
-        num_tables: int,
-        index_bits: int,
-        cache: dict[int, tuple[int, ...]] | None = None,
-    ):
-        if not 1 <= num_tables <= len(_TABLE_TWEAKS):
-            raise ValueError(
-                f"num_tables must be in [1, {len(_TABLE_TWEAKS)}], got {num_tables}"
-            )
-        if index_bits <= 0:
-            raise ValueError(f"index_bits must be positive, got {index_bits}")
-        self.num_tables = num_tables
-        self.index_bits = index_bits
-        self._cache = cache if cache is not None else {}
-
-    def indices(self, signature: int) -> tuple[int, ...]:
-        """Per-table indices for ``signature`` (memoized ``skewed_indices``)."""
-        cached = self._cache.get(signature)
-        if cached is not None:
-            return cached
-        # Inlined mix64 + fold_xor, equal by construction to skewed_indices
-        # (pinned by tests/test_kernel_differential.py).
-        index_bits = self.index_bits
-        index_mask = (1 << index_bits) - 1
-        out = []
-        for t in range(self.num_tables):
-            value = (signature ^ _TABLE_TWEAKS[t]) & _U64
-            value = (value + 0x9E3779B97F4A7C15) & _U64
-            value = ((value ^ (value >> 30)) * _MIX_MULT_1) & _U64
-            value = ((value ^ (value >> 27)) * _MIX_MULT_2) & _U64
-            value ^= value >> 31
-            folded = 0
-            while value:
-                folded ^= value & index_mask
-                value >>= index_bits
-            out.append(folded)
-        result = tuple(out)
-        self._cache[signature] = result
-        return result
-
-    def precompute(self, signature_bits: int) -> None:
-        """Eagerly fill the table for every ``signature_bits``-wide signature.
-
-        Afterwards :attr:`lookup` hits the dict for every possible
-        signature, with no hashing left on the hot path.  The full-space
-        table is a pure function of ``(num_tables, index_bits,
-        signature_bits)``, so it is computed once per process (vectorized
-        when numpy is importable) and copied into this instance's memo —
-        rebuilding a front end costs one C-level ``dict.update``, not a
-        re-hash of the signature space.
-        """
-        total = 1 << signature_bits
-        if len(self._cache) >= total:
-            return
-        self._cache.update(
-            _full_space_table(self.num_tables, self.index_bits, signature_bits)
-        )
-
-    @property
-    def lookup(self) -> dict[int, tuple[int, ...]]:
-        """The raw memo dict, for kernels that inline the ``.get`` call."""
-        return self._cache
+    def __reduce__(self):
+        return (full_space_table, self.key)
 
 
 # Process-wide memos for the full-signature-space tables.  The values are
 # pure functions of the key (deterministic hash pipeline over a fixed
 # range) and are never mutated after construction, so sharing them across
 # banks/kernels cannot couple simulations.
-_FULL_TABLE_MEMO: dict[tuple[int, int, int], dict[int, tuple[int, ...]]] = {}
+_FULL_TABLE_MEMO: dict[tuple[int, int, int], FullSpaceIndexTable] = {}
 _COLUMN_MEMO: dict[tuple[int, int, int], tuple] = {}
 
 
-def _full_space_table(
+def full_space_table(
     num_tables: int, index_bits: int, signature_bits: int
-) -> dict[int, tuple[int, ...]]:
+) -> FullSpaceIndexTable:
+    """The memoized full-space signature → indices table (shared; read-only).
+
+    Bit-identical to :func:`skewed_indices` for every signature; computed
+    vectorized when numpy is importable.
+    """
     key = (num_tables, index_bits, signature_bits)
     table = _FULL_TABLE_MEMO.get(key)
     if table is not None:
         return table
+    if not 1 <= num_tables <= len(_TABLE_TWEAKS):
+        raise ValueError(
+            f"num_tables must be in [1, {len(_TABLE_TWEAKS)}], got {num_tables}"
+        )
+    if index_bits <= 0:
+        raise ValueError(f"index_bits must be positive, got {index_bits}")
     total = 1 << signature_bits
     try:
         import numpy as np
     except ImportError:
-        scalar = SkewedIndexTable(num_tables, index_bits)
-        for signature in range(total):
-            scalar.indices(signature)
-        _FULL_TABLE_MEMO[key] = scalar._cache
-        return scalar._cache
-    index_mask = np.uint64((1 << index_bits) - 1)
-    shift = np.uint64(index_bits)
-    signatures = np.arange(total, dtype=np.uint64)
-    columns = []
-    for t in range(num_tables):
-        value = signatures ^ np.uint64(_TABLE_TWEAKS[t])
-        value = value + np.uint64(0x9E3779B97F4A7C15)
-        value = (value ^ (value >> np.uint64(30))) * np.uint64(_MIX_MULT_1)
-        value = (value ^ (value >> np.uint64(27))) * np.uint64(_MIX_MULT_2)
-        value = value ^ (value >> np.uint64(31))
-        folded = np.zeros_like(value)
-        while value.any():
-            folded ^= value & index_mask
-            value >>= shift
-        columns.append(folded.tolist())
-    table = dict(enumerate(zip(*columns, strict=True)))
+        table = FullSpaceIndexTable(
+            (signature, skewed_indices(signature, num_tables, index_bits))
+            for signature in range(total)
+        )
+    else:
+        index_mask = np.uint64((1 << index_bits) - 1)
+        shift = np.uint64(index_bits)
+        signatures = np.arange(total, dtype=np.uint64)
+        columns = []
+        for t in range(num_tables):
+            value = signatures ^ np.uint64(_TABLE_TWEAKS[t])
+            value = value + np.uint64(0x9E3779B97F4A7C15)
+            value = (value ^ (value >> np.uint64(30))) * np.uint64(_MIX_MULT_1)
+            value = (value ^ (value >> np.uint64(27))) * np.uint64(_MIX_MULT_2)
+            value = value ^ (value >> np.uint64(31))
+            folded = np.zeros_like(value)
+            while value.any():
+                folded ^= value & index_mask
+                value >>= shift
+            columns.append(folded.tolist())
+        table = FullSpaceIndexTable(enumerate(zip(*columns, strict=True)))
+    table.key = key
     _FULL_TABLE_MEMO[key] = table
     return table
 
@@ -229,7 +180,7 @@ def skewed_index_columns(num_tables: int, index_bits: int, signature_bits: int):
     cached = _COLUMN_MEMO.get(key)
     if cached is not None:
         return cached
-    lookup = _full_space_table(num_tables, index_bits, signature_bits)
+    lookup = full_space_table(num_tables, index_bits, signature_bits)
     total = 1 << signature_bits
     rows = [lookup[signature] for signature in range(total)]
     try:

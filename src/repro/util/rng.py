@@ -49,6 +49,11 @@ class DeterministicRng(random.Random):
             raise ValueError("DeterministicRng requires an explicit seed")
         super().__init__(seed)
 
+    def __reduce__(self):
+        # random.Random pickles as ``cls()`` plus its state, but this class
+        # demands a seed: construct from a placeholder, then restore state.
+        return (self.__class__, (0,), self.getstate())
+
     def fork(self, *components: int | str) -> "DeterministicRng":
         """Create an independent child stream identified by ``components``."""
         return DeterministicRng(derive_seed(self.getrandbits(64), *components))

@@ -40,6 +40,9 @@ class Workload:
     seed: int
     program: Program = field(repr=False)
     _instruction_count: int | None = field(default=None, repr=False, compare=False)
+    _records: list[BranchRecord] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def category(self) -> Category:
@@ -50,10 +53,34 @@ class Workload:
 
         Every call replays the identical sequence — this is what lets the
         harness run the same trace under each replacement policy.
+
+        The full-budget stream is walked once per workload: the first
+        call that drains it to the end memoizes it as a list of references
+        to the walker's interned records (one object per distinct record,
+        so the memo costs about one pointer per branch), and every later
+        call replays that list.  An explicit ``limit`` other than the
+        budget always walks afresh and is not memoized.
         """
-        budget = limit if limit is not None else self.spec.branch_budget
+        budget = self.spec.branch_budget
+        if limit is not None and limit != budget:
+            return self._walk(limit)
+        if self._records is not None:
+            return iter(self._records)
+        return self._walk_and_memoize(budget)
+
+    def _walk(self, limit: int) -> Iterator[BranchRecord]:
         walker = ProgramWalker(self.program, derive_seed(self.seed, "walk"))
-        return walker.records(budget)
+        return walker.records(limit)
+
+    def _walk_and_memoize(self, budget: int) -> Iterator[BranchRecord]:
+        # Lazy, so the first consumer still streams; the memo is kept only
+        # once the walk completes (an abandoned walk leaves none behind).
+        memo: list[BranchRecord] = []
+        append = memo.append
+        for record in self._walk(budget):
+            append(record)
+            yield record
+        self._records = memo
 
     @property
     def code_footprint_bytes(self) -> int:

@@ -46,6 +46,19 @@ class ProgramWalker:
         next_branch = lowered.next_branch_at_or_after
         main_entry = lowered.entry_addresses[self.program.main.index]
 
+        # One record object per distinct (pc, taken, target): a node's pc
+        # fixes its branch type, so the key identifies the record.  Reusing
+        # records skips the frozen dataclass constructor on every repeat
+        # and keeps a memoized stream down to one reference per branch.
+        interned: dict[tuple[int, bool, int], BranchRecord] = {}
+
+        def record(pc: int, branch_type: BranchType, taken: bool, target: int):
+            key = (pc, taken, target)
+            found = interned.get(key)
+            if found is None:
+                found = interned[key] = BranchRecord(pc, branch_type, taken, target)
+            return found
+
         call_stack: list[int] = []
         loop_counters: dict[int, int] = {}
         emitted = 0
@@ -58,7 +71,7 @@ class ProgramWalker:
             if kind == "cond-coin":
                 taken = rng.random() < node.p_taken
                 target = node.targets[0]
-                yield BranchRecord(node.pc, BranchType.CONDITIONAL, taken, target)
+                yield record(node.pc, BranchType.CONDITIONAL, taken, target)
                 address = target if taken else node.pc + _INSTR
             elif kind == "cond-loop":
                 remaining = loop_counters.get(node.pc)
@@ -67,7 +80,7 @@ class ProgramWalker:
                     remaining = node.trip_count - 1
                 taken = remaining > 0
                 target = node.targets[0]
-                yield BranchRecord(node.pc, BranchType.CONDITIONAL, taken, target)
+                yield record(node.pc, BranchType.CONDITIONAL, taken, target)
                 if taken:
                     loop_counters[node.pc] = remaining - 1
                     address = target
@@ -76,11 +89,11 @@ class ProgramWalker:
                     address = node.pc + _INSTR
             elif kind == "jump":
                 target = node.targets[0]
-                yield BranchRecord(node.pc, BranchType.UNCONDITIONAL, True, target)
+                yield record(node.pc, BranchType.UNCONDITIONAL, True, target)
                 address = target
             elif kind == "call":
                 target = node.targets[0]
-                yield BranchRecord(node.pc, BranchType.CALL, True, target)
+                yield record(node.pc, BranchType.CALL, True, target)
                 if len(call_stack) >= _MAX_CALL_STACK:
                     raise RuntimeError(
                         "call stack overflow: the program's call DAG is deeper "
@@ -90,7 +103,7 @@ class ProgramWalker:
                 address = target
             elif kind == "indirect-call":
                 target = rng.choices(node.targets, weights=node.weights, k=1)[0]
-                yield BranchRecord(node.pc, BranchType.INDIRECT_CALL, True, target)
+                yield record(node.pc, BranchType.INDIRECT_CALL, True, target)
                 if len(call_stack) >= _MAX_CALL_STACK:
                     raise RuntimeError(
                         "call stack overflow: the program's call DAG is deeper "
@@ -100,17 +113,17 @@ class ProgramWalker:
                 address = target
             elif kind == "indirect":
                 target = rng.choices(node.targets, weights=node.weights, k=1)[0]
-                yield BranchRecord(node.pc, BranchType.INDIRECT, True, target)
+                yield record(node.pc, BranchType.INDIRECT, True, target)
                 address = target
             elif kind == "return":
                 if call_stack:
                     target = call_stack.pop()
-                    yield BranchRecord(node.pc, BranchType.RETURN, True, target)
+                    yield record(node.pc, BranchType.RETURN, True, target)
                     address = target
                 else:
                     # main returned: restart the program (fresh dynamic
                     # state, same code), modeling a long-running process.
-                    yield BranchRecord(node.pc, BranchType.RETURN, True, main_entry)
+                    yield record(node.pc, BranchType.RETURN, True, main_entry)
                     loop_counters.clear()
                     address = main_entry
             else:  # pragma: no cover - lowering emits only known kinds

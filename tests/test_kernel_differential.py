@@ -7,7 +7,7 @@ must match the reference engine exactly after the run.  These tests run
 both engines on the same records and compare results *and* deep internal
 state, across every kernelized policy and several workload archetypes.
 
-Also pinned here: :class:`repro.util.hashing.SkewedIndexTable` (the
+Also pinned here: :func:`repro.util.hashing.full_space_table` (the
 kernels' precomputed index lookup) agrees with the scalar
 :func:`repro.util.hashing.skewed_indices` everywhere.
 """
@@ -20,7 +20,7 @@ from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import FrontEnd, build_frontend
 from repro.frontend.options import RunOptions
 from repro.kernel.engine import FastFrontEnd
-from repro.util.hashing import SkewedIndexTable, skewed_indices
+from repro.util.hashing import full_space_table, skewed_indices
 from repro.workloads.spec import Category
 from repro.workloads.suite import make_workload
 
@@ -143,16 +143,26 @@ class TestFastPathFallback:
         assert type(frontend) is FrontEnd
 
 
-class TestSkewedIndexTable:
+class TestFullSpaceTable:
     def test_matches_scalar_hash_everywhere(self):
-        table = SkewedIndexTable(num_tables=3, index_bits=8)
-        table.precompute(signature_bits=10)
+        table = full_space_table(num_tables=3, index_bits=8, signature_bits=10)
+        assert len(table) == 1 << 10
         for signature in range(1 << 10):
-            assert table.lookup[signature] == skewed_indices(signature, 3, 8)
+            assert table[signature] == skewed_indices(signature, 3, 8)
 
     def test_cache_miss_path_matches_precomputed(self):
-        precomputed = SkewedIndexTable(num_tables=3, index_bits=12)
-        precomputed.precompute(signature_bits=8)
-        on_demand = SkewedIndexTable(num_tables=3, index_bits=12)
+        """The reference bank's on-demand memo agrees with the kernels' table."""
+        from repro.core.tables import PredictionTableBank
+
+        precomputed = full_space_table(num_tables=3, index_bits=12, signature_bits=8)
+        on_demand = PredictionTableBank(num_tables=3, index_bits=12, counter_bits=2)
         for signature in range(1 << 8):
-            assert on_demand.indices(signature) == precomputed.lookup[signature]
+            assert on_demand.indices(signature) == precomputed[signature]
+
+    def test_pickles_as_the_process_memo(self):
+        import pickle
+
+        table = full_space_table(num_tables=3, index_bits=12, signature_bits=16)
+        body = pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(body) < 200
+        assert pickle.loads(body) is table

@@ -25,12 +25,14 @@ import pytest
 from repro.api import SimulationSession, SweepOptions
 from repro.experiments.cellcache import CellCache, SnapshotStore
 from repro.experiments.content import (
+    SNAPSHOT_FORMAT,
     cell_digest,
     grid_signature,
     shard_of,
     warmup_digest,
 )
 from repro.experiments.faults import ALWAYS, FaultPlan, FaultSpec
+from repro.experiments.figures import PAPER_POLICIES
 from repro.experiments.journal import CellJournal, LeaseManager
 from repro.experiments.runner import run_cell, run_grid
 from repro.experiments.scheduler import (
@@ -126,6 +128,41 @@ class TestContentDigests:
         assert warmup_digest(
             workloads[0], "lru", config, 1000, engine="reference"
         ) == warmup_digest(workloads[0], "lru", longer, 1000, engine="reference")
+
+    @staticmethod
+    def format_1_digests(workload, config):
+        """``(cell, warm-up)`` digests as computed before the snapshot
+        format joined the warm-up payload (spelled out independently)."""
+        import repro
+        from repro.experiments.content import config_payload, workload_payload
+        from repro.sentinel.digest import canonical_fingerprint
+
+        cell_config = config.with_overrides(icache_policy="ghrp", btb_policy="ghrp")
+        common = {"schema": 1, "workload": workload_payload(workload),
+                  "policy": "ghrp", "version": repro.__version__}
+        cell = canonical_fingerprint(
+            {**common, "kind": "cell", "config": config_payload(config)}
+        )
+        fields = config_payload(cell_config)
+        fields.pop("max_instructions")
+        warmup = canonical_fingerprint(
+            {**common, "kind": "warmup", "config": fields,
+             "warmup_instructions": 1000, "engine": "fast"}
+        )
+        return cell, warmup
+
+    def test_snapshot_format_moves_warmup_digest_but_not_cell_digest(
+        self, workloads, config
+    ):
+        old_cell, old_warmup = self.format_1_digests(workloads[0], config)
+        assert SNAPSHOT_FORMAT >= 2
+        # Cached cells (scheduler and service alike) keep hitting ...
+        assert cell_digest(workloads[0], "ghrp", config) == old_cell
+        # ... while warm-up snapshots of the old pickle layout are not found.
+        cell_config = config.with_overrides(icache_policy="ghrp", btb_policy="ghrp")
+        assert warmup_digest(
+            workloads[0], "ghrp", cell_config, 1000, engine="fast"
+        ) != old_warmup
 
     def test_shard_of_partitions_completely(self):
         digests = [f"{value:064x}" for value in range(100)]
@@ -319,6 +356,50 @@ class TestSnapshots:
         assert grid_signature_of(first) == grid_signature_of(plain)
         assert grid_signature_of(second) == grid_signature_of(plain)
         assert snapshots.writes == 1 and snapshots.hits == 1
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("policy", PAPER_POLICIES)
+    def test_every_paper_policy_resumes_bit_identically(
+        self, tmp_path, workloads, config, policy, engine
+    ):
+        snapshots = SnapshotStore(tmp_path / "snapshots")
+        plain = run_cell(workloads[1], policy, config, engine=engine)
+        _, note_first = run_cell_snapshotted(
+            workloads[1], policy, config, snapshots, engine=engine
+        )
+        resumed, note_second = run_cell_snapshotted(
+            workloads[1], policy, config, snapshots, engine=engine
+        )
+        assert (note_first, note_second) == ("snapshot-write", "snapshot-hit")
+        assert grid_signature_of(resumed) == grid_signature_of(plain)
+
+    def test_old_format_snapshot_reads_as_a_miss(self, tmp_path, workloads, config):
+        """A snapshot filed under its pre-format-2 digest is never loaded."""
+        snapshots = SnapshotStore(tmp_path / "snapshots")
+        _, old_warmup = TestContentDigests.format_1_digests(workloads[0], config)
+        # Anything filed under the old key would be unpickled as the engine.
+        snapshots.save(old_warmup, ("not", "an engine"))
+        plain = run_cell(workloads[0], "ghrp", config, engine="fast")
+        cell, note = run_cell_snapshotted(
+            workloads[0], "ghrp", config, snapshots, engine="fast"
+        )
+        assert note == "snapshot-write"
+        assert snapshots.hits == 0
+        assert grid_signature_of(cell) == grid_signature_of(plain)
+
+    def test_fast_ghrp_snapshot_carries_no_derivable_tables(self, tmp_path):
+        """The full-signature index tables pickle as their keys."""
+        workload = make_workload(
+            "long-server-00", Category.LONG_SERVER, seed=2018,
+            trace_scale=0.015, jitter=False,
+        )
+        snapshots = SnapshotStore(tmp_path / "snapshots")
+        _, note = run_cell_snapshotted(
+            workload, "ghrp", FrontEndConfig(), snapshots, engine="fast"
+        )
+        assert note == "snapshot-write"
+        (path,) = (tmp_path / "snapshots").rglob("*.pkl")
+        assert path.stat().st_size < 500_000
 
     def test_corrupt_snapshot_falls_back_to_full_run(
         self, tmp_path, workloads, config

@@ -415,6 +415,27 @@ class TestTelemetryCli:
         assert main(["bench-diff", "--history", str(history),
                      "--baseline", "prev"]) == 1
 
+    def test_bench_diff_gates_against_the_same_profile(self, tmp_path, capsys):
+        history = tmp_path / "hist.jsonl"
+        # A slow standard-profile entry first, as in the committed ledger.
+        append_bench_history(
+            history, dict(TestBenchLedger._report(0.25), profile="standard")
+        )
+        append_bench_history(history, TestBenchLedger._report(1.0))
+        assert main(["bench-diff", "--history", str(history),
+                     "--tolerance", "0.15"]) == 0
+        assert "no comparable baseline" in capsys.readouterr().out
+        # A quick entry 25% slower than the previous quick one must fail
+        # at the Makefile's 15% tolerance ...
+        append_bench_history(history, TestBenchLedger._report(0.75))
+        assert main(["bench-diff", "--history", str(history),
+                     "--tolerance", "0.15"]) == 1
+        out = capsys.readouterr().out
+        assert "-25.0%" in out and "REGRESSION" in out
+        # ... which comparing against the standard entry would never do.
+        assert main(["bench-diff", "--history", str(history),
+                     "--tolerance", "0.15", "--baseline", "first"]) == 0
+
     def test_report_telemetry_sections(self, tmp_path, capsys):
         store = tmp_path / "store.json"
         output = tmp_path / "report.md"

@@ -1,5 +1,8 @@
 """Tests for the synthetic workload generator."""
 
+import itertools
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from repro.workloads.program import (
     Switch,
 )
 from repro.workloads.spec import Category, WorkloadSpec, spec_for_category
+from repro.util.rng import derive_seed
 from repro.workloads.suite import make_suite, make_workload
 from repro.workloads.walker import ProgramWalker
 
@@ -258,3 +262,72 @@ class TestSuite:
         summary = summarize_trace(workload.records(1500))
         assert summary.branch_count == 1500
         assert 0.0 < summary.taken_fraction < 1.0
+
+
+class TestRecordMemo:
+    """``Workload.records()`` walks once, then replays the walker exactly."""
+
+    @staticmethod
+    def walked(workload, limit=None):
+        walker = ProgramWalker(workload.program, derive_seed(workload.seed, "walk"))
+        return list(walker.records(limit or workload.spec.branch_budget))
+
+    @pytest.fixture()
+    def workload(self):
+        return make_workload("w", Category.SHORT_SERVER, seed=4, trace_scale=0.02)
+
+    def test_full_budget_replays_the_walk(self, workload):
+        expected = self.walked(workload)
+        first = list(workload.records())
+        assert first == expected
+        assert workload._records is not None
+        replay = list(workload.records())
+        assert replay == expected
+        # The replay hands out the memoized objects, not fresh ones.
+        assert all(a is b for a, b in zip(first, replay, strict=True))
+        assert list(workload.records(workload.spec.branch_budget)) == expected
+
+    def test_memo_interns_one_object_per_distinct_record(self, workload):
+        records = list(workload.records())
+        assert len({id(r) for r in records}) == len(set(records)) < len(records)
+
+    def test_shorter_limit_walks_and_is_not_memoized(self, workload):
+        limit = workload.spec.branch_budget // 3
+        assert list(workload.records(limit)) == self.walked(workload, limit)
+        assert workload._records is None
+        list(workload.records())
+        assert list(workload.records(limit)) == self.walked(workload, limit)
+
+    def test_abandoned_first_walk_leaves_no_memo(self, workload):
+        stream = workload.records()
+        next(stream)
+        stream.close()
+        assert workload._records is None
+        assert list(workload.records()) == self.walked(workload)
+
+    def test_islice_resume_matches_the_walk(self, workload):
+        expected = self.walked(workload)
+        list(workload.records())
+        for branches_seen in (0, 1, 617, len(expected) - 1, len(expected)):
+            resumed = itertools.islice(workload.records(), branches_seen, None)
+            assert list(resumed) == expected[branches_seen:]
+
+    def test_instruction_count_uses_the_memo(self, workload):
+        count = workload.instruction_count()
+        assert workload._records is not None
+        stream = FetchBlockStream(iter(self.walked(workload)))
+        for _ in stream:
+            pass
+        assert count == stream.instructions_seen
+
+    def test_pickled_walked_workload_replays(self, workload):
+        expected = list(workload.records())
+        clone = pickle.loads(pickle.dumps(workload, protocol=pickle.HIGHEST_PROTOCOL))
+        assert (clone.name, clone.seed, clone.spec) == (
+            workload.name, workload.seed, workload.spec)
+        assert list(clone.records()) == expected
+        assert list(clone.records(100)) == expected[:100]
+        fresh = pickle.loads(pickle.dumps(
+            make_workload("w", Category.SHORT_SERVER, seed=4, trace_scale=0.02)
+        ))
+        assert list(fresh.records()) == expected
