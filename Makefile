@@ -4,10 +4,11 @@ PYTHON ?= python
 
 .PHONY: install test test-fast test-fault lint check check-flow bench bench-quick bench-smoke bench-diff examples figures clean
 
-# The fault-injection / robustness suite: supervised grid executor,
-# deterministic fault harness, store durability, corrupted-input guards,
-# and the crash-safe sweep scheduler (incl. the SIGKILL kill-resume
-# smoke test, which asserts bit-identical resumption from the journal).
+# The fault-injection / robustness suite: the supervised worker pool
+# (driven through the scheduler), deterministic fault harness, cell-cache
+# durability, corrupted-input guards, and the crash-safe sweep scheduler
+# (incl. the SIGKILL kill-resume smoke test, which asserts bit-identical
+# resumption from the journal).
 # pytest-timeout (when installed, as in CI) backstops a regressed hang.
 FAULT_TESTS = tests/test_faults.py tests/test_supervisor.py \
               tests/test_store_durability.py tests/test_failure_injection.py \

@@ -21,9 +21,8 @@ Two invariants keep that true:
   (:func:`repro.experiments.cellcache.atomic_write_json`) or replicate
   its tmp + fsync + ``os.replace`` discipline; a bare
   ``open(path, "w")`` + ``json.dump`` tears under ``kill -9`` and a
-  torn result store silently loses checkpointed cells.  The one
-  sanctioned bare-open site (the store's own atomic-save internals) is
-  suppressed where it happens, with the reason.
+  torn result file silently loses computed cells.  A sanctioned
+  bare-open site would be suppressed where it happens, with the reason.
 - ``contract-fast-path`` (project rule): registering a
   :class:`~repro.kernel.base.BatchKernel` with ``@batch_kernel`` *is* the
   fast-path opt-in, so every registry entry must be coherent: the kernel's

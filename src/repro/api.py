@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace as dc_replace
 
-from repro.experiments.runner import CellResult, GridResult, run_cell
+from repro.experiments.runner import CellResult, GridResult, run_grid
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import ENGINES, build_frontend, build_policies
 from repro.frontend.options import RunOptions, WorkloadRef
@@ -286,16 +286,10 @@ class SimulationSession:
                 engine=self.engine,
             )
             return runner.run(workloads, options.policies, progress=progress)
-        grid = GridResult()
-        for workload in workloads:
-            for policy in options.policies:
-                cell = run_cell(
-                    workload, policy, self.config, obs=self.obs, engine=self.engine
-                )
-                grid.add(cell)
-                if progress is not None:
-                    progress(cell)
-        return grid
+        return run_grid(
+            workloads, options.policies, self.config,
+            progress=progress, obs=self.obs, engine=self.engine,
+        )
 
 
 def simulate(

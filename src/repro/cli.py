@@ -10,11 +10,13 @@ Subcommands:
   numbers (abstract-style);
 - ``timing``    — run the cycle-approximate timing model on a workload;
 - ``storage``   — print Table I (GHRP and modified-SDBP storage);
-- ``report``    — run a suite grid (with result caching) and write a
-  markdown report;
-- ``grid``      — run a suite grid under the fault-tolerant supervised
-  executor: parallel workers, per-cell timeouts, retries with backoff,
-  and checkpoint-resume (``--resume STORE``); exits 2 on a partial grid;
+- ``report``    — run a suite grid through the content-addressed sweep
+  scheduler (results cached in ``--cache-dir``) and write a markdown
+  report;
+- ``grid``      — run a suite grid through the same scheduler, in the
+  fault-tolerant supervised worker pool: parallel workers, per-cell
+  timeouts, retries with backoff; with ``--cache-dir`` results persist
+  and re-running the command resumes; exits 2 on a partial grid;
 - ``trace``     — run one workload with full observability: a structured
   event JSONL (evictions, bypasses, wrong-path episodes, ...) plus a
   metrics and per-phase timing summary;
@@ -361,19 +363,56 @@ def _cmd_storage(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_sweep_summary(cache_dir: str, scheduler) -> None:
+    """The scheduler's cache/snapshot/lease/shard account of one run."""
+    stats = scheduler.stats
+    print(
+        f"cache {cache_dir}: {stats.cache_hits} hit(s), "
+        f"{stats.cache_misses} miss(es), {stats.computed} computed, "
+        f"{stats.deduped} deduped "
+        f"(hit rate {100.0 * stats.hit_rate:.0f}%)"
+    )
+    if stats.snapshot_hits or stats.snapshot_writes:
+        print(f"warm-up snapshots: {stats.snapshot_hits} reused, "
+              f"{stats.snapshot_writes} written")
+    if stats.leases_recovered or stats.lease_conflicts:
+        print(f"leases: {stats.leases_recovered} orphan(s) recovered, "
+              f"{stats.lease_conflicts} conflict(s) skipped")
+    if stats.other_shard:
+        index, count = scheduler.sched.shard
+        print(f"shard {index}/{count}: {stats.other_shard} cell(s) owned "
+              f"by other shards; re-run unsharded to assemble the full "
+              f"grid from cache")
+
+
+def _partial_grid_exit(grid, cache_dir: str | None) -> int:
+    """Summarize failed cells; 2 on a partial grid, else 0."""
+    if not grid.failed:
+        return 0
+    print(f"\nWARNING: partial grid — {len(grid.failed)} cell(s) failed:")
+    for failure in grid.failed:
+        print(f"  {failure.summary_line()}")
+    if cache_dir:
+        print(f"re-run with --cache-dir {cache_dir} to retry only "
+              f"these cells (completed cells are served from cache)")
+    else:
+        print("pass --cache-dir DIR to keep completed cells, so a re-run "
+              "retries only the failed ones")
+    return 2
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report_markdown import markdown_report
-    from repro.experiments.store import ResultStore, run_grid_cached
+    from repro.experiments.scheduler import SweepScheduler
 
     suite = make_suite(base_seed=args.seed, trace_scale=args.trace_scale)
-    config = _config_from(args, "lru")
-    store = ResultStore(args.store)
     obs = _obs_from(args)
-    progress = GridProgressReporter(total_cells=len(suite) * len(args.policies))
-    grid = run_grid_cached(
-        suite, list(args.policies), config, store, progress=progress, obs=obs,
+    scheduler = SweepScheduler(
+        args.cache_dir, _config_from(args, "lru"), obs=obs,
         telemetry=_telemetry_config_from(args),
     )
+    progress = GridProgressReporter(total_cells=len(suite) * len(args.policies))
+    grid = scheduler.run(suite, list(args.policies), progress=progress)
     report = markdown_report(
         grid,
         title=f"GHRP reproduction report (seed {args.seed})",
@@ -381,9 +420,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(report)
-    print(f"wrote report to {args.output} ({len(store)} cells cached in {args.store})")
+    print(f"wrote report to {args.output}")
     _write_metrics(args, obs)
-    return 0
+    _print_sweep_summary(args.cache_dir, scheduler)
+    return _partial_grid_exit(grid, args.cache_dir)
 
 
 def _parse_fault(value: str):
@@ -409,21 +449,22 @@ def _parse_fault(value: str):
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
+    import contextlib
+    import tempfile
+
     from repro.experiments.report_markdown import markdown_report
-    from repro.experiments.store import ResultStore
-    from repro.experiments.supervisor import (
-        RetryPolicy,
-        SupervisorConfig,
-        run_grid_supervised,
+    from repro.experiments.scheduler import (
+        SchedulerConfig,
+        SweepScheduler,
+        parse_shard,
     )
+    from repro.experiments.supervisor import RetryPolicy, SupervisorConfig
 
     if args.shard and not args.cache_dir:
         raise SystemExit("repro-sim grid: --shard requires --cache-dir")
     suite = make_suite(base_seed=args.seed, trace_scale=args.trace_scale)
     if args.limit is not None:
         suite = suite[: args.limit]
-    config = _config_from(args, "lru")
-    store = ResultStore(args.resume, recover=True) if args.resume else None
     fault_plan = None
     if args.inject_fault:
         from repro.experiments.faults import FaultPlan
@@ -438,29 +479,23 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             max_retries=args.retries,
             backoff_base_seconds=args.backoff_base,
         ),
-        checkpoint_every=args.checkpoint_every,
         start_method=args.start_method,
     )
     obs = _obs_from(args)
     progress = GridProgressReporter(total_cells=len(suite) * len(args.policies))
-    scheduler = None
-    if args.cache_dir:
-        from repro.experiments.scheduler import (
-            SchedulerConfig,
-            SweepScheduler,
-            parse_shard,
-        )
-
-        if store is not None:
-            print("note: --cache-dir supersedes --resume; the content-"
-                  "addressed cache is itself the resume mechanism")
-            store = None
+    # Without --cache-dir nothing persists: the scheduler runs over a
+    # scratch directory removed on exit, and warm-up snapshots (only
+    # ever read by a later run) are not written.
+    with (
+        contextlib.nullcontext(args.cache_dir) if args.cache_dir
+        else tempfile.TemporaryDirectory(prefix="repro-grid-")
+    ) as cache_dir:
         scheduler = SweepScheduler(
-            args.cache_dir,
-            config,
+            cache_dir,
+            _config_from(args, "lru"),
             scheduler=SchedulerConfig(
                 shard=parse_shard(args.shard) if args.shard else None,
-                snapshots=not args.no_snapshots,
+                snapshots=bool(args.cache_dir) and not args.no_snapshots,
             ),
             supervisor=supervisor,
             fault_plan=fault_plan,
@@ -470,20 +505,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             telemetry=_telemetry_config_from(args),
         )
         grid = scheduler.run(suite, list(args.policies), progress=progress)
-    else:
-        grid = run_grid_supervised(
-            suite,
-            list(args.policies),
-            config,
-            supervisor=supervisor,
-            store=store,
-            fault_plan=fault_plan,
-            progress=progress,
-            obs=obs,
-            engine=args.engine,
-            verify=args.verify,
-            telemetry=_telemetry_config_from(args),
-        )
     # Shutdown path: durable artifacts first, console output last.  The
     # report (which embeds the merged --telemetry series) and the
     # metrics summary are the machine-read evidence of the run; writing
@@ -503,38 +524,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     ).render())
     if args.report:
         print(f"wrote report to {args.report}")
-    if scheduler is not None:
-        stats = scheduler.stats
-        print(
-            f"cache {args.cache_dir}: {stats.cache_hits} hit(s), "
-            f"{stats.cache_misses} miss(es), {stats.computed} computed, "
-            f"{stats.deduped} deduped "
-            f"(hit rate {100.0 * stats.hit_rate:.0f}%)"
-        )
-        if stats.snapshot_hits or stats.snapshot_writes:
-            print(f"warm-up snapshots: {stats.snapshot_hits} reused, "
-                  f"{stats.snapshot_writes} written")
-        if stats.leases_recovered or stats.lease_conflicts:
-            print(f"leases: {stats.leases_recovered} orphan(s) recovered, "
-                  f"{stats.lease_conflicts} conflict(s) skipped")
-        if stats.other_shard:
-            index, count = scheduler.sched.shard
-            print(f"shard {index}/{count}: {stats.other_shard} cell(s) owned "
-                  f"by other shards; re-run unsharded to assemble the full "
-                  f"grid from cache")
-    if store is not None:
-        print(f"{len(store)} cells checkpointed in {args.resume}")
-    if grid.failed:
-        print(f"\nWARNING: partial grid — {len(grid.failed)} cell(s) failed:")
-        for failure in grid.failed:
-            print(f"  {failure.summary_line()}")
-        if scheduler is not None:
-            print(f"re-run with --cache-dir {args.cache_dir} to retry only "
-                  f"these cells (completed cells are served from cache)")
-        elif args.resume:
-            print(f"re-run with --resume {args.resume} to retry only these cells")
-        return 2
-    return 0
+    if args.cache_dir:
+        _print_sweep_summary(args.cache_dir, scheduler)
+    return _partial_grid_exit(grid, args.cache_dir)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -1003,8 +995,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--trace-scale", type=float, default=1.0)
     report.add_argument("--policies", nargs="+", default=list(figures.PAPER_POLICIES),
                         choices=available_policies())
-    report.add_argument("--store", default="results-store.json",
-                        help="JSON result cache (resumable)")
+    report.add_argument("--cache-dir", metavar="DIR", default="results-cache",
+                        help="content-addressed result cache (default: "
+                             "%(default)s): cells already computed by any "
+                             "run sharing DIR are served without simulation")
     report.add_argument("--output", default="report.md")
     report.add_argument("--telemetry", action="store_true",
                         help="sample interval telemetry on freshly simulated "
@@ -1031,17 +1025,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="retry each failed cell up to K times (default: 2)")
     grid.add_argument("--backoff-base", type=float, default=0.5, metavar="S",
                       help="first-retry backoff in seconds, doubling per attempt")
-    grid.add_argument("--resume", metavar="STORE", default=None,
-                      help="checkpoint results to this store and skip cells "
-                           "already in it; corrupted stores are quarantined "
-                           "to STORE.corrupt")
     grid.add_argument("--cache-dir", metavar="DIR", default=None,
                       help="content-addressed result cache: cells already "
                            "computed (by any run sharing DIR) are served "
                            "without simulation, results are journaled and "
                            "written durably as the grid runs, and a killed "
                            "run resumes from where it stopped by re-running "
-                           "the same command")
+                           "the same command (default: a scratch directory "
+                           "removed on exit, so nothing persists)")
     grid.add_argument("--shard", metavar="K/N", default=None,
                       help="own only the cells whose content digest maps to "
                            "shard K of N (requires --cache-dir); run one "
@@ -1051,8 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="disable warm-up memoization (with --cache-dir, "
                            "cells sharing a warm-up prefix normally replay "
                            "only their measurement windows)")
-    grid.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
-                      help="save the store after every N completed cells")
     grid.add_argument("--report", default=None,
                       help="also write a markdown report to this path")
     grid.add_argument("--start-method", default="spawn",

@@ -3,10 +3,14 @@
 Runs the policy x workload grids behind every table and figure in the
 paper's evaluation and renders them as terminal-friendly reports:
 
-- :mod:`repro.experiments.runner`: grid execution with the paper's
-  warm-up rule and per-cell result capture;
-- :mod:`repro.experiments.supervisor`: the fault-tolerant parallel grid
-  executor (worker pool, timeouts, retries, checkpoint-resume);
+- :mod:`repro.experiments.runner`: serial grid execution with the
+  paper's warm-up rule and per-cell result capture (no persistence);
+- :mod:`repro.experiments.scheduler`: the one persistent grid executor —
+  a content-addressed sweep scheduler over the durable
+  :mod:`repro.experiments.cellcache` (re-running against the same cache
+  directory is the resume mechanism);
+- :mod:`repro.experiments.supervisor`: the fault-tolerant worker pool
+  the scheduler runs cells in (timeouts, retries, crash isolation);
 - :mod:`repro.experiments.faults`: deterministic fault injection for
   exercising the supervisor's recovery paths;
 - :mod:`repro.experiments.figures`: one generator per paper artifact
@@ -24,12 +28,7 @@ from repro.experiments.runner import (
     run_workload,
     validate_cell,
 )
-from repro.experiments.store import ResultStore, ResultStoreError, run_grid_cached
-from repro.experiments.supervisor import (
-    RetryPolicy,
-    SupervisorConfig,
-    run_grid_supervised,
-)
+from repro.experiments.supervisor import RetryPolicy, SupervisorConfig
 from repro.experiments.tuning import TuningResult, sweep_ghrp
 from repro.experiments import figures
 
@@ -41,12 +40,8 @@ __all__ = [
     "run_grid",
     "run_workload",
     "validate_cell",
-    "ResultStore",
-    "ResultStoreError",
-    "run_grid_cached",
     "RetryPolicy",
     "SupervisorConfig",
-    "run_grid_supervised",
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",

@@ -1,9 +1,9 @@
 """Content-addressed cell cache: results and warm-up snapshots on disk.
 
 :class:`CellCache` is the deduplicating result store behind the sweep
-scheduler (:mod:`repro.experiments.scheduler`).  Unlike the single-file
-:class:`~repro.experiments.store.ResultStore`, entries live one file per
-cell under a digest-sharded directory tree::
+scheduler (:mod:`repro.experiments.scheduler`) and the repository's one
+durable result store.  Entries live one file per cell under a
+digest-sharded directory tree::
 
     <root>/
       cells/<aa>/<digest>.json      checksummed CellResult documents
@@ -20,12 +20,16 @@ the second writer simply finds the entry already present and drops its
 copy (idempotent puts).
 
 Checksums make corruption *detectable* rather than merely unlikely: a
-mismatching entry is quarantined to ``<file>.corrupt`` and treated as a
-miss, never parsed into a half-trusted result.
+mismatching entry is quarantined to ``<file>.corrupt`` (``.corrupt.1``,
+``.corrupt.2``, ... when an earlier backup exists) and treated as a
+miss, never parsed into a half-trusted result.  Entries tolerate schema
+evolution (:func:`rehydrate_cell`): a cache written by an older or newer
+version loads as a partial cache instead of raising.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import pickle
@@ -33,7 +37,6 @@ from hashlib import sha256
 from pathlib import Path
 
 from repro.experiments.runner import CellResult, validate_cell
-from repro.experiments.store import rehydrate_cell
 from repro.obs import get_logger
 from repro.sentinel.digest import canonical_fingerprint
 
@@ -43,12 +46,40 @@ __all__ = [
     "atomic_write_json",
     "read_checked_json",
     "fsync_dir",
+    "rehydrate_cell",
 ]
 
 _LOG = get_logger("experiments.cellcache")
 
 CACHE_ENTRY_SCHEMA = 1
 _SNAPSHOT_MAGIC = b"repro-snapshot/1 "
+
+_CELL_FIELDS = {field.name: field for field in dataclasses.fields(CellResult)}
+_CELL_REQUIRED = frozenset(
+    name for name, field in _CELL_FIELDS.items()
+    if field.default is dataclasses.MISSING
+    and field.default_factory is dataclasses.MISSING
+)
+
+
+def rehydrate_cell(raw: object) -> CellResult | None:
+    """Build a CellResult from one stored record, tolerating schema drift.
+
+    Unknown keys (written by a newer version) are dropped; missing keys
+    with dataclass defaults (written by an older version) are defaulted.
+    A record missing a *required* field, or otherwise malformed, returns
+    None — the caller treats it as a cache miss and recomputes.
+    """
+    if not isinstance(raw, dict):
+        return None
+    known = {key: value for key, value in raw.items() if key in _CELL_FIELDS}
+    if not _CELL_REQUIRED <= known.keys():
+        return None
+    try:
+        cell = CellResult(**known)
+    except (TypeError, ValueError):
+        return None
+    return cell if validate_cell(cell) is None else None
 
 
 def fsync_dir(path: str | os.PathLike) -> None:
@@ -114,12 +145,38 @@ def atomic_write_json(path: str | Path, payload) -> None:
     )
 
 
+def _claim_backup_path(path: Path) -> Path:
+    """Claim a unique ``.corrupt`` path next to ``path`` atomically.
+
+    ``O_CREAT | O_EXCL`` reserves the name in the same step that checks
+    it, so a second quarantine of the same entry (or two processes
+    quarantining concurrently) takes ``.corrupt.1``, ``.corrupt.2``, ...
+    instead of overwriting earlier evidence (a bare ``exists()`` probe
+    would race).  The claimed placeholder is then replaced by the bad
+    file itself.
+    """
+    suffix = 0
+    candidate = path.with_name(path.name + ".corrupt")
+    while True:
+        try:
+            os.close(os.open(candidate, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            return candidate
+        except FileExistsError:
+            suffix += 1
+            candidate = path.with_name(f"{path.name}.corrupt.{suffix}")
+
+
 def _quarantine(path: Path, reason: str) -> None:
     """Move a bad file aside so it is preserved but never re-read."""
-    backup = path.with_name(path.name + ".corrupt")
+    try:
+        backup = _claim_backup_path(path)
+    except OSError:
+        return
     try:
         os.replace(path, backup)
     except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(backup)
         return
     _LOG.warning("quarantined corrupt cache file %s (%s) to %s",
                  path, reason, backup)
@@ -130,8 +187,8 @@ def read_checked_json(path: str | Path):
 
     None means "treat as a miss": missing file, unreadable JSON, wrong
     shape, or checksum mismatch.  Corrupt files are quarantined to
-    ``<name>.corrupt`` so evidence survives and the miss is permanent
-    rather than retried every lookup.
+    ``<name>.corrupt`` (or the next free ``.corrupt.N``) so evidence
+    survives and the miss is permanent rather than retried every lookup.
     """
     import json
 

@@ -15,7 +15,7 @@ assert none of those are ever recomputed).
 
 :class:`LeaseManager` — advisory work claims, one file per digest under
 ``leases/``.  A claim is atomic via the ``O_CREAT | O_EXCL`` idiom (the
-same one the result store uses for quarantine paths): creating the
+same one the cell cache uses for quarantine paths): creating the
 lease file *is* winning it, no probe-then-create race.  Leases carry an
 owner id and an expiry; a scheduler heartbeats its live leases by
 atomically rewriting them.  An *orphan* lease — expired heartbeat, or

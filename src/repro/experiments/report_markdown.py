@@ -145,8 +145,8 @@ def _failed_cells_section(grid: GridResult) -> str:
     note = (
         "The cells below exhausted their retries and are **missing** from "
         "every table above; means and win/loss counts cover the surviving "
-        "grid only. Re-run with `repro-sim grid --resume <store>` to "
-        "recompute just these cells."
+        "grid only. Re-run with the same `--cache-dir` to recompute just "
+        "these cells (completed cells are served from the cache)."
     )
     return "### Failed cells\n\n" + note + "\n\n" + _markdown_table(
         ["policy", "workload", "kind", "error", "attempts", "elapsed"], rows

@@ -89,8 +89,8 @@ def validate_cell(
 ) -> str | None:
     """Schema-check one cell result; return a problem description or None.
 
-    Shared by the result store (refuse to persist garbage) and the
-    supervised executor (a worker returning a malformed result is treated
+    Shared by the cell cache (refuse to persist garbage), the sweep
+    scheduler and the supervised executor (a worker returning a malformed result is treated
     as a failed attempt, not silently recorded).  ``policy``/``workload``
     additionally pin the cell to the task that produced it.
     """
@@ -304,7 +304,7 @@ def run_cell(
     simulate_seconds = time.perf_counter() - simulate_started
 
     if result.telemetry is not None:
-        # The interval series is not part of the (store-persisted)
+        # The interval series is not part of the (cache-persisted)
         # CellResult schema; it travels on the observability facade and
         # merges across workers like metrics and spans do.
         obs.record_telemetry(

@@ -1,8 +1,11 @@
-"""Fault-tolerant grid execution: a supervised multiprocessing worker pool.
+"""Fault-tolerant cell execution: a supervised multiprocessing worker pool.
 
 ``run_grid`` is strictly serial and all-or-nothing: one crash, hang, or
-flaky cell throws away hours of pure-Python simulation.  This module
-runs each (policy, workload) cell in an isolated worker process under a
+flaky cell throws away hours of pure-Python simulation.  This module is
+the execution engine behind
+:class:`~repro.experiments.scheduler.SweepScheduler` when it is given a
+:class:`SupervisorConfig` (as ``repro-sim grid`` always does): each
+(policy, workload) cell runs in an isolated worker process under a
 supervisor that provides:
 
 - **parallelism** — up to ``workers`` cells in flight at once;
@@ -16,9 +19,10 @@ supervisor that provides:
   explicit :class:`~repro.experiments.runner.FailedCell` in the
   :class:`~repro.experiments.runner.GridResult`, so reports render a
   partial grid with annotated gaps instead of aborting;
-- **checkpoint-resume** — with a :class:`~repro.experiments.store.ResultStore`,
-  finished cells are persisted as the grid runs and a re-run recomputes
-  only the cells the store does not already hold;
+- **durable results** — every validated success is handed to the
+  scheduler, which writes it to the content-addressed
+  :class:`~repro.experiments.cellcache.CellCache` at once, so a re-run
+  against the same cache directory recomputes only unfinished cells;
 - **observability** — each worker's metrics snapshot and span tree merge
   back into the parent :class:`~repro.obs.Observability`, and the
   supervisor emits its own ``supervisor.*`` counters and retry/timeout
@@ -27,8 +31,8 @@ supervisor that provides:
 Determinism: cell simulation is already a pure function of (workload,
 policy, config), so worker isolation cannot change results — with
 ``workers=1`` and no injected faults the grid is identical to the serial
-runner's, and with any worker count the final ``GridResult`` lists cells
-in request order regardless of completion order.  Backoff jitter is
+runner's, and with any worker count the scheduler's ``GridResult`` lists
+cells in request order regardless of completion order.  Backoff jitter is
 drawn from a :class:`~repro.util.rng.DeterministicRng` seeded per
 (cell, attempt).  ``clock``/``sleep`` are injectable so the test suite
 exercises every recovery path without real sleeps (see
@@ -38,29 +42,25 @@ exercises every recovery path without real sleeps (see
 from __future__ import annotations
 
 import multiprocessing
-import time
 import traceback
 from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
 
-from repro.experiments.content import cell_digest
 from repro.experiments.faults import FaultPlan
 from repro.experiments.runner import (
     CellResult,
     FailedCell,
-    GridResult,
     run_cell,
     validate_cell,
 )
-from repro.experiments.store import ResultStore
 from repro.frontend.config import FrontEndConfig
 from repro.obs import NULL_OBS, Observability, get_logger
 from repro.util.rng import DeterministicRng, derive_seed
 from repro.workloads.suite import Workload
 
-__all__ = ["RetryPolicy", "SupervisorConfig", "run_grid_supervised"]
+__all__ = ["RetryPolicy", "SupervisorConfig"]
 
 _LOG = get_logger("experiments.supervisor")
 
@@ -99,9 +99,7 @@ class RetryPolicy:
 class SupervisorConfig:
     """Knobs of the supervised executor.
 
-    ``cell_timeout_seconds=None`` disables the deadline kill;
-    ``checkpoint_every`` saves the result store after that many newly
-    completed cells (1 = after every cell, the durable default).
+    ``cell_timeout_seconds=None`` disables the deadline kill.
     ``start_method`` picks the multiprocessing context (``"spawn"`` is
     safe everywhere; ``"fork"`` starts workers much faster on POSIX).
     """
@@ -110,7 +108,6 @@ class SupervisorConfig:
     cell_timeout_seconds: float | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     poll_interval_seconds: float = 0.05
-    checkpoint_every: int = 1
     start_method: str = "spawn"
 
     def __post_init__(self) -> None:
@@ -118,8 +115,6 @@ class SupervisorConfig:
             raise ValueError("workers must be >= 1")
         if self.cell_timeout_seconds is not None and self.cell_timeout_seconds <= 0:
             raise ValueError("cell_timeout_seconds must be positive (or None)")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +192,11 @@ class _Task:
     slot: int                      # position in the request-order grid
     workload: Workload
     policy: str
+    digest: str                    # content address
     attempt: int = 0               # 0-based attempt about to run / running
     ready_at: float = 0.0          # earliest dispatch time (backoff)
     started_at: float = 0.0        # when the current attempt was dispatched
     elapsed: float = 0.0           # total time across finished attempts
-    digest: str | None = None      # content address (scheduler-managed runs)
 
     @property
     def key(self) -> str:
@@ -266,29 +261,28 @@ class _Worker:
 
 
 class _Supervisor:
-    """Event loop owning the worker pool, retry queue, and checkpoints."""
+    """Event loop owning the worker pool and the retry queue."""
 
     def __init__(
         self,
         config: FrontEndConfig,
         supervisor: SupervisorConfig,
-        store: ResultStore | None,
         fault_plan: FaultPlan | None,
         progress: Callable[[CellResult], None] | None,
         obs: Observability,
         clock: Callable[[], float],
         sleep: Callable[[float], None],
+        *,
+        sink: Callable[[_Task, CellResult, str | None], None],
+        tick: Callable[[float], None],
+        on_attempt_failed: Callable[[_Task, str, str, bool], None],
         engine: str = "reference",
         verify: str = "off",
         telemetry=None,
-        sink: Callable[[_Task, CellResult, str | None], None] | None = None,
-        tick: Callable[[float], None] | None = None,
-        on_attempt_failed: Callable[[_Task, str, str, bool], None] | None = None,
         snapshot_dir: str | None = None,
     ) -> None:
         self.config = config
         self.sup = supervisor
-        self.store = store
         self.fault_plan = fault_plan
         self.progress = progress
         self.obs = obs
@@ -297,13 +291,13 @@ class _Supervisor:
         self.telemetry = telemetry
         self.clock = clock
         self.sleep = sleep
-        # Scheduler integration hooks (all optional): ``sink`` receives
-        # every validated success (with the worker's snapshot note),
-        # ``tick`` fires once per event-loop iteration (lease
-        # heartbeats), ``on_attempt_failed`` observes each failed
-        # attempt before it is re-queued or degraded (the fourth
-        # argument is whether a retry follows).  ``snapshot_dir``
-        # propagates warm-up memoization into the workers.
+        # Scheduler hooks: ``sink`` receives every validated success
+        # (with the worker's snapshot note) and persists it, ``tick``
+        # fires once per event-loop iteration (lease heartbeats),
+        # ``on_attempt_failed`` observes each failed attempt before it
+        # is re-queued or degraded (the fourth argument is whether a
+        # retry follows).  ``snapshot_dir`` propagates warm-up
+        # memoization into the workers.
         self.sink = sink
         self.tick = tick
         self.on_attempt_failed = on_attempt_failed
@@ -313,7 +307,6 @@ class _Supervisor:
         self.workers: list[_Worker] = []
         self.results: dict[int, CellResult] = {}
         self.failures: dict[int, FailedCell] = {}
-        self.unsaved = 0
 
     # -- pool management ------------------------------------------------
     def _outstanding(self) -> int:
@@ -363,14 +356,7 @@ class _Supervisor:
     ) -> None:
         self.results[task.slot] = cell
         self.obs.inc("supervisor.cells_ok")
-        if self.sink is not None:
-            self.sink(task, cell, note)
-        if self.store is not None:
-            self.store.put(task.workload, task.policy, self.config, cell)
-            self.unsaved += 1
-            if self.unsaved >= self.sup.checkpoint_every:
-                self.store.save()
-                self.unsaved = 0
+        self.sink(task, cell, note)
         if self.progress is not None:
             self.progress(cell)
 
@@ -382,8 +368,7 @@ class _Supervisor:
         task.elapsed += now - task.started_at
         self.obs.inc(f"supervisor.attempts_{kind}")
         will_retry = task.attempt < self.sup.retry.max_retries
-        if self.on_attempt_failed is not None:
-            self.on_attempt_failed(task, kind, error_type, will_retry)
+        self.on_attempt_failed(task, kind, error_type, will_retry)
         if will_retry:
             delay = self.sup.retry.backoff_seconds(
                 task.policy, task.workload.name, task.attempt
@@ -500,8 +485,7 @@ class _Supervisor:
             while self.pending or any(w.busy for w in self.workers):
                 self._replenish()
                 now = self.clock()
-                if self.tick is not None:
-                    self.tick(now)
+                self.tick(now)
                 self._dispatch_ready(now)
                 busy = [w for w in self.workers if w.busy]
                 if busy:
@@ -524,92 +508,9 @@ class _Supervisor:
                     if delay > 0:
                         self.sleep(delay)
         finally:
-            if self.store is not None and self.unsaved:
-                self.store.save()
             for worker in self.workers:
                 if worker.busy:
                     worker.kill()
                 else:
                     worker.shutdown()
             self.workers.clear()
-
-
-def run_grid_supervised(
-    workloads: Sequence[Workload],
-    policies: Sequence[str],
-    config: FrontEndConfig | None = None,
-    *,
-    supervisor: SupervisorConfig | None = None,
-    store: ResultStore | None = None,
-    fault_plan: FaultPlan | None = None,
-    progress: Callable[[CellResult], None] | None = None,
-    obs: Observability = NULL_OBS,
-    clock: Callable[[], float] = time.monotonic,
-    sleep: Callable[[float], None] = time.sleep,
-    engine: str = "reference",
-    verify: str = "off",
-    telemetry=None,
-) -> GridResult:
-    """Run every (policy, workload) cell under the supervised worker pool.
-
-    Drop-in upgrade of :func:`~repro.experiments.runner.run_grid` /
-    :func:`~repro.experiments.store.run_grid_cached`: same request-order
-    results, plus isolation, timeouts, retries, checkpoint-resume (pass
-    ``store``), and explicit ``FailedCell`` degradation.  ``clock`` and
-    ``sleep`` exist for deterministic tests of the retry scheduler; leave
-    them defaulted in real runs.
-    """
-    config = config or FrontEndConfig()
-    supervisor = supervisor or SupervisorConfig()
-    executor = _Supervisor(
-        config, supervisor, store, fault_plan, progress, obs, clock, sleep,
-        engine=engine, verify=verify, telemetry=telemetry,
-    )
-    obs.inc("supervisor.cells_total",
-            len(workloads) * len(policies) or 0)
-
-    slots: list[tuple[Workload, str]] = [
-        (workload, policy) for workload in workloads for policy in policies
-    ]
-    tasks: list[_Task] = []
-    cached: dict[int, CellResult] = {}
-    seen_digests: dict[str, int] = {}
-    deduped = 0
-    for slot, (workload, policy) in enumerate(slots):
-        # Dedupe by content digest before dispatch: two slots with equal
-        # digests are the same simulation (a suite that built two
-        # workloads with one name used to run both and let GridResult
-        # drop the second — pure waste).
-        digest = cell_digest(workload, policy, config)
-        if digest in seen_digests:
-            deduped += 1
-            continue
-        seen_digests[digest] = slot
-        hit = store.get(workload, policy, config) if store is not None else None
-        if hit is not None:
-            cached[slot] = hit
-            obs.inc("supervisor.cells_cached")
-            if progress is not None:
-                progress(hit)
-        else:
-            tasks.append(
-                _Task(slot=slot, workload=workload, policy=policy, digest=digest)
-            )
-    if deduped:
-        obs.inc("scheduler.deduped_cells", deduped)
-        _LOG.warning(
-            "deduplicated %d grid cell(s) with identical content digests "
-            "before dispatch", deduped,
-        )
-
-    with obs.span("supervised_grid"):
-        executor.run(tasks)
-
-    grid = GridResult()
-    for slot in range(len(slots)):
-        cell = cached.get(slot) or executor.results.get(slot)
-        if cell is not None:
-            grid.add(cell)
-        elif slot in executor.failures:
-            grid.add_failure(executor.failures[slot])
-    return grid

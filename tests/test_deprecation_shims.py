@@ -14,15 +14,24 @@ That release has shipped and the shims are retired.  These tests pin
 the *removal*: the old spellings must fail immediately (not silently
 change meaning), and the supported spellings must cover everything the
 shims used to do.
+
+The single-file result store went the same way, without a shim: the
+content-addressed cache behind ``SweepScheduler`` is the one durable
+store, so ``repro.experiments.store`` no longer imports and the flags
+that fed it (``grid --resume``, ``grid --checkpoint-every``,
+``report --store``) are usage errors; ``--cache-dir`` replaces them.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
 
+import importlib
+
 import pytest
 
 import repro.frontend.engine as engine_module
+from repro.cli import main
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import build_frontend
 from repro.frontend.options import RunOptions
@@ -72,3 +81,20 @@ def test_build_policies_private_alias_removed(config):
     assert ghrp is not None
     assert icache_policy.predictor is ghrp
     assert btb_policy.predictor is ghrp
+
+
+def test_result_store_module_removed():
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.experiments.store")
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--resume", "store.json"],
+    ["grid", "--checkpoint-every", "2"],
+    ["report", "--store", "results-store.json"],
+])
+def test_result_store_flags_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,27 +1,36 @@
-"""Durability of the persistent result store.
+"""Durability of the durable result store: the content-addressed cell cache.
 
-Covers the hardening the supervised executor leans on: actionable
-errors (never a raw ``json.JSONDecodeError``), corrupt-file quarantine,
-checksummed saves, crash-mid-save atomicity, and schema-evolution
-tolerance when rehydrating records.
+Covers the hardening the sweep scheduler leans on: corrupt-entry
+quarantine that never loses evidence (not even on a second quarantine
+of the same entry), checksummed entries, crash-mid-write atomicity,
+fsync of both the data and the directory entry, and schema-evolution
+tolerance when rehydrating records (:func:`rehydrate_cell`).
 """
 
 import json
 import logging
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.runner import CellResult
-from repro.experiments.store import (
-    ResultStore,
-    ResultStoreError,
-    _records_checksum,
+from repro.experiments.cellcache import (
+    CellCache,
+    atomic_write_json,
+    read_checked_json,
+    rehydrate_cell,
 )
+from repro.experiments.content import cell_digest
+from repro.experiments.runner import CellResult
+from repro.experiments.scheduler import SweepScheduler
 from repro.frontend.config import FrontEndConfig
+from repro.sentinel.digest import canonical_fingerprint
 from repro.workloads.spec import Category
 from repro.workloads.suite import make_workload
+
+DIGEST = "ab" * 32
 
 
 @pytest.fixture()
@@ -50,203 +59,183 @@ def sample_cell(**overrides) -> CellResult:
     return CellResult(**fields)
 
 
-def stored_store(path, workload, config, cell) -> ResultStore:
-    store = ResultStore(path)
-    store.put(workload, "lru", config, cell)
-    store.save()
-    return store
+def stored_cache(root, cell=None) -> CellCache:
+    cache = CellCache(root)
+    cache.put(DIGEST, cell or sample_cell())
+    return cache
+
+
+def entry_path(cache: CellCache, digest: str = DIGEST):
+    return cache.cells_dir / digest[:2] / f"{digest}.json"
 
 
 class TestCorruptionHandling:
-    def test_truncated_json_raises_actionable_error(self, tmp_path):
-        path = tmp_path / "results.json"
-        path.write_text('{"version": 2, "checksum": "ab', encoding="utf-8")
-        with pytest.raises(ResultStoreError) as excinfo:
-            ResultStore(path)
-        message = str(excinfo.value)
-        assert str(path) in message          # names the path
-        assert "recover=True" in message     # names a remedy
-        assert ".corrupt" in message         # names the backup
-
     def test_corrupt_file_is_backed_up_not_lost(self, tmp_path):
-        path = tmp_path / "results.json"
+        cache = stored_cache(tmp_path)
+        path = entry_path(cache)
         path.write_text("not json at all", encoding="utf-8")
-        with pytest.raises(ResultStoreError):
-            ResultStore(path)
-        backup = tmp_path / "results.json.corrupt"
+        assert cache.get(DIGEST) is None
+        backup = path.with_name(path.name + ".corrupt")
         assert backup.read_text(encoding="utf-8") == "not json at all"
-        # The original is still in place (backed up by copy, so a later
-        # save() overwriting it cannot destroy the evidence).
-        assert path.exists()
+        assert not path.exists()  # the miss is permanent
 
-    def test_recover_mode_quarantines_and_starts_empty(self, tmp_path, caplog):
-        path = tmp_path / "results.json"
+    def test_recover_mode_quarantines_and_starts_empty(
+        self, tmp_path, workload, config, caplog
+    ):
+        # The scheduler always recovers: a corrupt entry is moved aside
+        # with a logged warning and the cell is simulated afresh.
+        scheduler = SweepScheduler(tmp_path, config)
+        scheduler.run([workload], ["lru"])
+        digest = cell_digest(workload, "lru", config)
+        path = entry_path(scheduler.cache, digest)
         path.write_text("{broken", encoding="utf-8")
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.store"):
-            store = ResultStore(path, recover=True)
-        assert len(store) == 0
-        assert not path.exists()  # moved aside, not deleted
-        assert (tmp_path / "results.json.corrupt").exists()
+        rerun = SweepScheduler(tmp_path, config)
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.experiments.cellcache"):
+            grid = rerun.run([workload], ["lru"])
         assert "quarantined" in caplog.text
+        assert (rerun.stats.cache_hits, rerun.stats.computed) == (0, 1)
+        assert grid.complete
+        assert path.with_name(path.name + ".corrupt").read_text() == "{broken"
+        assert rerun.cache.get(digest) == grid.cells[0]
 
     def test_repeated_quarantine_never_overwrites_earlier_backups(self, tmp_path):
-        path = tmp_path / "results.json"
+        cache = CellCache(tmp_path)
+        path = entry_path(cache)
         for i in range(3):
+            cache.put(DIGEST, sample_cell())
             path.write_text(f"broken #{i}", encoding="utf-8")
-            ResultStore(path, recover=True)
-        assert (tmp_path / "results.json.corrupt").read_text() == "broken #0"
-        assert (tmp_path / "results.json.corrupt.1").read_text() == "broken #1"
-        assert (tmp_path / "results.json.corrupt.2").read_text() == "broken #2"
+            assert cache.get(DIGEST) is None
+        assert path.with_name(path.name + ".corrupt").read_text() == "broken #0"
+        assert path.with_name(path.name + ".corrupt.1").read_text() == "broken #1"
+        assert path.with_name(path.name + ".corrupt.2").read_text() == "broken #2"
 
-    def test_checksum_mismatch_detected(self, tmp_path, workload, config):
-        path = tmp_path / "results.json"
-        stored_store(path, workload, config, sample_cell())
+    def test_checksum_mismatch_detected(self, tmp_path, caplog):
+        cache = stored_cache(tmp_path)
+        path = entry_path(cache)
         document = json.loads(path.read_text(encoding="utf-8"))
-        next(iter(document["records"].values()))["icache_mpki"] = 0.0
+        document["payload"]["cell"]["icache_mpki"] = 0.0
         path.write_text(json.dumps(document), encoding="utf-8")
-        with pytest.raises(ResultStoreError, match="checksum mismatch"):
-            ResultStore(path)
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.experiments.cellcache"):
+            assert cache.get(DIGEST) is None
+        assert "checksum mismatch" in caplog.text
+        assert path.with_name(path.name + ".corrupt").exists()
 
     def test_non_object_top_level_rejected(self, tmp_path):
-        path = tmp_path / "results.json"
+        path = tmp_path / "doc.json"
         path.write_text("[1, 2, 3]", encoding="utf-8")
-        with pytest.raises(ResultStoreError, match="not an object"):
-            ResultStore(path)
-
-    def test_legacy_bare_record_file_still_loads(
-        self, tmp_path, workload, config
-    ):
-        path = tmp_path / "results.json"
-        store = stored_store(path, workload, config, sample_cell())
-        # Rewrite in the version-1 format: a bare key->record mapping.
-        path.write_text(json.dumps(store._records), encoding="utf-8")
-        reloaded = ResultStore(path)
-        assert reloaded.get(workload, "lru", config) == sample_cell()
-        # Saving upgrades the file to the checksummed format.
-        reloaded.save()
-        document = json.loads(path.read_text(encoding="utf-8"))
-        assert document["version"] == 2
-        assert document["checksum"] == _records_checksum(document["records"])
+        assert read_checked_json(path) is None
+        assert (tmp_path / "doc.json.corrupt").read_text() == "[1, 2, 3]"
 
 
 class TestAtomicSave:
     def test_crash_mid_save_leaves_previous_store_intact(
-        self, tmp_path, workload, config, monkeypatch
+        self, tmp_path, monkeypatch
     ):
-        path = tmp_path / "results.json"
-        store = stored_store(path, workload, config, sample_cell())
-        before = path.read_text(encoding="utf-8")
+        path = tmp_path / "doc.json"
+        atomic_write_json(path, {"generation": 1})
+        before = path.read_bytes()
 
-        def exploding_dump(obj, handle, **kwargs):
-            handle.write('{"version": 2, "chec')  # partial write, then die
-            raise OSError("disk full")
+        def failing_fsync(fd):
+            raise OSError("disk full")  # the bytes never reached storage
 
-        monkeypatch.setattr("repro.experiments.store.json.dump", exploding_dump)
-        store.put(workload, "ghrp", config, sample_cell(policy="ghrp"))
-        with pytest.raises(OSError):
-            store.save()
-        # The real store never saw the half-written document...
-        assert path.read_text(encoding="utf-8") == before
-        assert ResultStore(path).get(workload, "lru", config) == sample_cell()
-        # ...only the scratch file did.
-        assert path.with_suffix(".tmp").exists()
+        monkeypatch.setattr("repro.experiments.cellcache.os.fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_json(path, {"generation": 2})
+        # The real document never saw the unsynced replacement, and the
+        # scratch file was cleaned up.
+        assert path.read_bytes() == before
+        assert read_checked_json(path) == {"generation": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
 
-        # A stale .tmp from the crash does not break the next save.
+        # The next write goes through.
         monkeypatch.undo()
-        store.save()
-        assert not path.with_suffix(".tmp").exists()
-        assert ResultStore(path).get(workload, "ghrp", config) is not None
+        atomic_write_json(path, {"generation": 2})
+        assert read_checked_json(path) == {"generation": 2}
 
-    def test_save_replaces_atomically_leaving_no_scratch_file(
-        self, tmp_path, workload, config
-    ):
-        path = tmp_path / "results.json"
-        stored_store(path, workload, config, sample_cell())
-        assert not path.with_suffix(".tmp").exists()
+        # A put interrupted the same way leaves no entry: a miss, and a
+        # later put of the same digest succeeds.
+        cache = CellCache(tmp_path / "cache")
+        monkeypatch.setattr("repro.experiments.cellcache.os.fsync", failing_fsync)
+        with pytest.raises(OSError):
+            cache.put(DIGEST, sample_cell())
+        monkeypatch.undo()
+        assert cache.get(DIGEST) is None
+        assert cache.put(DIGEST, sample_cell()) is True
+        assert cache.get(DIGEST) == sample_cell()
+
+    def test_save_replaces_atomically_leaving_no_scratch_file(self, tmp_path):
+        cache = stored_cache(tmp_path)
+        path = entry_path(cache)
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
         document = json.loads(path.read_text(encoding="utf-8"))
-        assert document["checksum"] == _records_checksum(document["records"])
+        assert document["checksum"] == canonical_fingerprint(document["payload"])
 
-    def test_save_fsyncs_data_and_directory(
-        self, tmp_path, workload, config, monkeypatch
-    ):
-        """save() must push both the data and the rename to stable
+    def test_save_fsyncs_data_and_directory(self, tmp_path, monkeypatch):
+        """A put must push both the data and the rename to stable
         storage: fsync the tmp file before the replace (so the bytes
         exist), then the containing directory (so the entry does)."""
-        import os
-
         synced_files = []
         synced_dirs = []
         real_fsync = os.fsync
 
         def recording_fsync(fd):
-            import stat
-
             if stat.S_ISDIR(os.fstat(fd).st_mode):
                 synced_dirs.append(fd)
             else:
                 synced_files.append(fd)
             real_fsync(fd)
 
-        monkeypatch.setattr("repro.experiments.store.os.fsync", recording_fsync)
-        store = ResultStore(tmp_path / "results.json")
-        store.put(workload, "lru", config, sample_cell())
-        store.save()
-        assert synced_files, "save() never fsynced the data file"
+        monkeypatch.setattr("repro.experiments.cellcache.os.fsync",
+                            recording_fsync)
+        stored_cache(tmp_path)
+        assert synced_files, "put() never fsynced the data file"
         # Directory fsync is best-effort, but on this platform (the one
         # CI runs on) it must happen.
-        assert synced_dirs, "save() never fsynced the containing directory"
+        assert synced_dirs, "put() never fsynced the containing directory"
 
-    def test_put_refuses_malformed_cells(self, tmp_path, workload, config):
-        store = ResultStore(tmp_path / "results.json")
-        with pytest.raises(ResultStoreError, match="refusing to record"):
-            store.put(workload, "lru", config, sample_cell(icache_mpki=float("nan")))
-        with pytest.raises(ResultStoreError, match="refusing to record"):
-            store.put(workload, "lru", config, {"not": "a cell"})
+    def test_put_refuses_malformed_cells(self, tmp_path):
+        cache = CellCache(tmp_path)
+        with pytest.raises(ValueError, match="refusing to cache"):
+            cache.put(DIGEST, sample_cell(icache_mpki=float("nan")))
+        with pytest.raises(ValueError, match="refusing to cache"):
+            cache.put(DIGEST, {"not": "a cell"})
+        assert len(cache) == 0
 
 
 class TestSchemaEvolution:
-    def rewrite_record(self, path, mutate):
-        document = json.loads(path.read_text(encoding="utf-8"))
-        for record in document["records"].values():
-            mutate(record)
-        document["checksum"] = _records_checksum(document["records"])
-        path.write_text(json.dumps(document), encoding="utf-8")
+    def rewrite_record(self, cache, mutate):
+        path = entry_path(cache)
+        payload = read_checked_json(path)
+        mutate(payload["cell"])
+        atomic_write_json(path, payload)  # re-checksummed, as a writer would
 
-    def test_unknown_keys_from_newer_versions_are_ignored(
-        self, tmp_path, workload, config
-    ):
-        path = tmp_path / "results.json"
-        stored_store(path, workload, config, sample_cell())
-        self.rewrite_record(path, lambda r: r.update(future_field=42))
-        assert ResultStore(path).get(workload, "lru", config) == sample_cell()
+    def test_unknown_keys_from_newer_versions_are_ignored(self, tmp_path):
+        cache = stored_cache(tmp_path)
+        self.rewrite_record(cache, lambda r: r.update(future_field=42))
+        assert cache.get(DIGEST) == sample_cell()
 
-    def test_missing_optional_fields_take_defaults(
-        self, tmp_path, workload, config
-    ):
-        path = tmp_path / "results.json"
-        stored_store(path, workload, config, sample_cell())
+    def test_missing_optional_fields_take_defaults(self, tmp_path):
+        cache = stored_cache(tmp_path)
         self.rewrite_record(
-            path, lambda r: (r.pop("setup_seconds"), r.pop("simulate_seconds"))
+            cache, lambda r: (r.pop("setup_seconds"), r.pop("simulate_seconds"))
         )
-        cell = ResultStore(path).get(workload, "lru", config)
+        cell = cache.get(DIGEST)
         assert cell is not None
         assert cell.setup_seconds == 0.0 and cell.simulate_seconds == 0.0
 
-    def test_missing_required_field_is_a_cache_miss_not_an_error(
-        self, tmp_path, workload, config
-    ):
-        path = tmp_path / "results.json"
-        stored_store(path, workload, config, sample_cell())
-        self.rewrite_record(path, lambda r: r.pop("icache_mpki"))
-        assert ResultStore(path).get(workload, "lru", config) is None
+    def test_missing_required_field_is_a_cache_miss_not_an_error(self, tmp_path):
+        cache = stored_cache(tmp_path)
+        self.rewrite_record(cache, lambda r: r.pop("icache_mpki"))
+        assert cache.get(DIGEST) is None
+        assert rehydrate_cell({"policy": "lru"}) is None
 
-    def test_malformed_record_value_is_a_cache_miss(
-        self, tmp_path, workload, config
-    ):
-        path = tmp_path / "results.json"
-        stored_store(path, workload, config, sample_cell())
-        self.rewrite_record(path, lambda r: r.update(instructions="many"))
-        assert ResultStore(path).get(workload, "lru", config) is None
+    def test_malformed_record_value_is_a_cache_miss(self, tmp_path):
+        cache = stored_cache(tmp_path)
+        self.rewrite_record(cache, lambda r: r.update(instructions="many"))
+        assert cache.get(DIGEST) is None
+        assert rehydrate_cell(["not", "a", "record"]) is None
 
 
 class TestRoundTripProperties:
@@ -262,29 +251,16 @@ class TestRoundTripProperties:
     ):
         """Records survive arbitrary on-disk key order (dict reordering
         across json dumps, field reordering across versions)."""
-        tmp_path = tmp_path_factory.mktemp("store")
-        workload = make_workload(
-            "w", Category.SHORT_MOBILE, seed=1, trace_scale=0.02,
-            footprint_scale=0.3,
-        )
-        config = FrontEndConfig(
-            icache_bytes=8 * 1024, icache_assoc=4, btb_entries=256,
-            warmup_cap_instructions=1000,
-        )
         cell = sample_cell(
             icache_mpki=mpki, icache_misses=misses, direction_accuracy=accuracy
         )
-        path = tmp_path / "results.json"
-        stored_store(path, workload, config, cell)
+        cache = stored_cache(tmp_path_factory.mktemp("cache"), cell)
+        path = entry_path(cache)
 
         document = json.loads(path.read_text(encoding="utf-8"))
-        reordered = {}
-        for key, record in document["records"].items():
-            items = list(record.items())
-            shuffle_seed.shuffle(items)
-            reordered[key] = dict(items)
-        document["records"] = reordered
-        document["checksum"] = _records_checksum(reordered)
+        items = list(document["payload"]["cell"].items())
+        shuffle_seed.shuffle(items)
+        document["payload"]["cell"] = dict(items)
         path.write_text(json.dumps(document), encoding="utf-8")
 
-        assert ResultStore(path).get(workload, "lru", config) == cell
+        assert cache.get(DIGEST) == cell

@@ -1,15 +1,19 @@
-"""The fault-tolerant supervised grid executor.
+"""The fault-tolerant supervised worker pool, driven through the scheduler.
 
-Every recovery path is exercised through the deterministic fault
-harness (`repro.experiments.faults`) — no random failures, no flaky
-sleeps: retry backoff waits go through an injected fake timer, and the
-only real waiting anywhere is the sub-second per-cell timeout of the
-hang tests.
+``SweepScheduler(..., supervisor=SupervisorConfig(...))`` is the one
+parallel grid path (``repro-sim grid`` runs it), so every test here
+goes through it.  Every recovery path is exercised through the
+deterministic fault harness (`repro.experiments.faults`) — no random
+failures, no flaky sleeps: retry backoff waits go through an injected
+fake timer, and the only real waiting anywhere is the sub-second
+per-cell timeout of the hang tests.  Resume is a re-run against the
+same cache directory.
 """
 
 import json
 import logging
 import multiprocessing
+import time
 
 import pytest
 
@@ -23,14 +27,11 @@ from repro.experiments.runner import (
     run_grid,
     validate_cell,
 )
-from repro.experiments.store import ResultStore
-from repro.experiments.supervisor import (
-    RetryPolicy,
-    SupervisorConfig,
-    run_grid_supervised,
-)
+from repro.experiments.cellcache import CellCache
+from repro.experiments.scheduler import SweepScheduler
+from repro.experiments.supervisor import RetryPolicy, SupervisorConfig
 from repro.frontend.config import FrontEndConfig
-from repro.obs import Observability
+from repro.obs import NULL_OBS, Observability
 from repro.workloads.spec import Category
 from repro.workloads.suite import make_workload
 
@@ -68,6 +69,18 @@ class FakeTimer:
         self.now += seconds
 
 
+def run_supervised(cache_dir, workloads, policies, config, *, supervisor,
+                   fault_plan=None, obs=NULL_OBS, timer=None):
+    """One supervised scheduler run; returns ``(grid, scheduler)``."""
+    scheduler = SweepScheduler(
+        cache_dir, config, supervisor=supervisor, fault_plan=fault_plan,
+        obs=obs,
+        sleep=timer.sleep if timer is not None else time.sleep,
+        monotonic=timer.clock if timer is not None else time.monotonic,
+    )
+    return scheduler.run(workloads, policies), scheduler
+
+
 @pytest.fixture(scope="module")
 def workload():
     return make_workload(
@@ -94,10 +107,10 @@ def simulated_fields(cell: CellResult) -> tuple:
 
 
 class TestDeterminism:
-    def test_single_worker_matches_serial_runner(self, workload, config):
+    def test_single_worker_matches_serial_runner(self, tmp_path, workload, config):
         serial = run_grid([workload], ["lru", "random"], config)
-        supervised = run_grid_supervised(
-            [workload], ["lru", "random"], config,
+        supervised, _ = run_supervised(
+            tmp_path, [workload], ["lru", "random"], config,
             supervisor=supervisor_config(workers=1),
         )
         assert supervised.complete
@@ -105,14 +118,14 @@ class TestDeterminism:
             simulated_fields(c) for c in serial.cells
         ]
 
-    def test_parallel_results_arrive_in_request_order(self, config):
+    def test_parallel_results_arrive_in_request_order(self, tmp_path, config):
         workloads = [
             make_workload(f"w{i}", Category.SHORT_MOBILE, seed=i,
                           trace_scale=0.02, footprint_scale=0.3)
             for i in (1, 2)
         ]
-        grid = run_grid_supervised(
-            workloads, ["lru", "random"], config,
+        grid, _ = run_supervised(
+            tmp_path, workloads, ["lru", "random"], config,
             supervisor=supervisor_config(workers=2),
         )
         assert [(c.workload, c.policy) for c in grid.cells] == [
@@ -121,17 +134,16 @@ class TestDeterminism:
 
 
 class TestRetries:
-    def test_flaky_cell_succeeds_after_retries(self, workload, config):
+    def test_flaky_cell_succeeds_after_retries(self, tmp_path, workload, config):
         plan = FaultPlan().add("lru", "w", FaultSpec("raise", fail_attempts=2))
         retry = RetryPolicy(max_retries=2, backoff_base_seconds=0.5,
                             backoff_factor=2.0, jitter_fraction=0.1, seed=7)
         timer = FakeTimer()
         obs = Observability()
-        grid = run_grid_supervised(
-            [workload], ["lru"], config,
+        grid, _ = run_supervised(
+            tmp_path, [workload], ["lru"], config,
             supervisor=supervisor_config(retry=retry),
-            fault_plan=plan, obs=obs,
-            clock=timer.clock, sleep=timer.sleep,
+            fault_plan=plan, obs=obs, timer=timer,
         )
         assert grid.complete and len(grid.cells) == 1
         assert obs.metrics.counter("supervisor.retries") == 2
@@ -153,19 +165,21 @@ class TestRetries:
             "p", "other", 0
         )
 
-    def test_always_failing_cell_degrades_to_failed_cell(self, workload, config):
+    def test_always_failing_cell_degrades_to_failed_cell(
+        self, tmp_path, workload, config
+    ):
         plan = FaultPlan().add("random", "w", FaultSpec("raise", ALWAYS))
-        timer = FakeTimer()
-        grid = run_grid_supervised(
-            [workload], ["lru", "random"], config,
+        grid, scheduler = run_supervised(
+            tmp_path, [workload], ["lru", "random"], config,
             supervisor=supervisor_config(
                 retry=RetryPolicy(max_retries=1, backoff_base_seconds=0.001,
                                   jitter_fraction=0.0)
             ),
-            fault_plan=plan, clock=timer.clock, sleep=timer.sleep,
+            fault_plan=plan, timer=FakeTimer(),
         )
         assert [c.policy for c in grid.cells] == ["lru"]
         assert not grid.complete
+        assert scheduler.stats.failed == 1
         (failure,) = grid.failed
         assert failure == FailedCell(
             policy="random", workload="w", kind="error",
@@ -174,10 +188,10 @@ class TestRetries:
         )
         assert "attempt" in failure.message
 
-    def test_partial_grid_report_annotates_the_gap(self, workload, config):
+    def test_partial_grid_report_annotates_the_gap(self, tmp_path, workload, config):
         plan = FaultPlan().add("random", "w", FaultSpec("raise", ALWAYS))
-        grid = run_grid_supervised(
-            [workload], ["lru", "random"], config,
+        grid, _ = run_supervised(
+            tmp_path, [workload], ["lru", "random"], config,
             supervisor=supervisor_config(
                 retry=RetryPolicy(max_retries=0)
             ),
@@ -187,16 +201,17 @@ class TestRetries:
         assert "Partial result: 1 cell(s) failed" in report
         assert "### Failed cells" in report
         assert "FaultInjected" in report
+        assert "--cache-dir" in report  # the re-run hint
         # The surviving cell still renders normally.
         assert "lru" in report
 
 
 class TestIsolation:
-    def test_hang_is_killed_at_the_timeout(self, workload, config):
+    def test_hang_is_killed_at_the_timeout(self, tmp_path, workload, config):
         plan = FaultPlan().add("lru", "w", FaultSpec("hang", fail_attempts=1))
         obs = Observability()
-        grid = run_grid_supervised(
-            [workload], ["lru"], config,
+        grid, _ = run_supervised(
+            tmp_path, [workload], ["lru"], config,
             supervisor=supervisor_config(
                 cell_timeout_seconds=0.5,
                 retry=RetryPolicy(max_retries=1, backoff_base_seconds=0.001,
@@ -208,10 +223,12 @@ class TestIsolation:
         assert obs.metrics.counter("supervisor.timeouts") == 1
         assert obs.metrics.counter("supervisor.retries") == 1
 
-    def test_hang_with_no_retries_becomes_timeout_failure(self, workload, config):
+    def test_hang_with_no_retries_becomes_timeout_failure(
+        self, tmp_path, workload, config
+    ):
         plan = FaultPlan().add("lru", "w", FaultSpec("hang", ALWAYS))
-        grid = run_grid_supervised(
-            [workload], ["lru"], config,
+        grid, _ = run_supervised(
+            tmp_path, [workload], ["lru"], config,
             supervisor=supervisor_config(
                 cell_timeout_seconds=0.3, retry=RetryPolicy(max_retries=0),
             ),
@@ -222,11 +239,13 @@ class TestIsolation:
         assert failure.error_type == "CellTimeout"
         assert "0.3" in failure.message
 
-    def test_worker_crash_is_isolated_and_pool_replenished(self, workload, config):
+    def test_worker_crash_is_isolated_and_pool_replenished(
+        self, tmp_path, workload, config
+    ):
         plan = FaultPlan().add("lru", "w", FaultSpec("crash", fail_attempts=1))
         obs = Observability()
-        grid = run_grid_supervised(
-            [workload], ["lru", "random"], config,
+        grid, _ = run_supervised(
+            tmp_path, [workload], ["lru", "random"], config,
             supervisor=supervisor_config(), fault_plan=plan, obs=obs,
         )
         assert grid.complete and len(grid.cells) == 2
@@ -234,21 +253,23 @@ class TestIsolation:
         # A replacement worker was started after the crash.
         assert obs.metrics.counter("supervisor.workers_started") >= 2
 
-    def test_garbage_result_is_rejected_and_retried(self, workload, config):
+    def test_garbage_result_is_rejected_and_retried(self, tmp_path, workload, config):
         plan = FaultPlan().add("lru", "w", FaultSpec("garbage", fail_attempts=1))
         obs = Observability()
-        grid = run_grid_supervised(
-            [workload], ["lru"], config,
+        grid, _ = run_supervised(
+            tmp_path, [workload], ["lru"], config,
             supervisor=supervisor_config(), fault_plan=plan, obs=obs,
         )
         assert grid.complete
         assert obs.metrics.counter("supervisor.garbage_results") == 1
         assert validate_cell(grid.cells[0]) is None
 
-    def test_persistent_garbage_degrades_with_garbage_kind(self, workload, config):
+    def test_persistent_garbage_degrades_with_garbage_kind(
+        self, tmp_path, workload, config
+    ):
         plan = FaultPlan().add("lru", "w", FaultSpec("garbage", ALWAYS))
-        grid = run_grid_supervised(
-            [workload], ["lru"], config,
+        grid, _ = run_supervised(
+            tmp_path, [workload], ["lru"], config,
             supervisor=supervisor_config(retry=RetryPolicy(max_retries=0)),
             fault_plan=plan,
         )
@@ -258,78 +279,80 @@ class TestIsolation:
 
 
 class TestCheckpointResume:
+    """Every success is durable in the cache as it completes, so a
+    re-run against the same cache directory is the resume."""
+
     def test_resume_recomputes_only_unfinished_cells(
         self, tmp_path, workload, config
     ):
-        store_path = tmp_path / "grid.json"
         first_plan = FaultPlan().add("random", "w", FaultSpec("raise", ALWAYS))
-        timer = FakeTimer()
-        first = run_grid_supervised(
-            [workload], ["lru", "random"], config,
+        first, _ = run_supervised(
+            tmp_path, [workload], ["lru", "random"], config,
             supervisor=supervisor_config(
                 retry=RetryPolicy(max_retries=0)
             ),
-            store=ResultStore(store_path), fault_plan=first_plan,
-            clock=timer.clock, sleep=timer.sleep,
+            fault_plan=first_plan, timer=FakeTimer(),
         )
         assert not first.complete
-        assert len(ResultStore(store_path)) == 1  # lru checkpointed
+        assert len(CellCache(tmp_path)) == 1  # lru persisted
 
         # Second run: fault the *completed* cell unconditionally.  It can
-        # only succeed if resume served it from the store without ever
+        # only succeed if resume served it from the cache without ever
         # dispatching it; the previously failed cell recomputes cleanly.
         second_plan = FaultPlan().add("lru", "w", FaultSpec("raise", ALWAYS))
         obs = Observability()
-        second = run_grid_supervised(
-            [workload], ["lru", "random"], config,
-            supervisor=supervisor_config(),
-            store=ResultStore(store_path), fault_plan=second_plan, obs=obs,
+        second, scheduler = run_supervised(
+            tmp_path, [workload], ["lru", "random"], config,
+            supervisor=supervisor_config(), fault_plan=second_plan, obs=obs,
         )
         assert second.complete and len(second.cells) == 2
-        assert obs.metrics.counter("supervisor.cells_cached") == 1
+        assert scheduler.stats.cache_hits == 1
+        assert scheduler.stats.computed == 1
         assert obs.metrics.counter("supervisor.cells_ok") == 1
-        assert len(ResultStore(store_path)) == 2
+        assert len(CellCache(tmp_path)) == 2
 
     def test_resumed_cells_match_fresh_simulation(self, tmp_path, workload, config):
-        store_path = tmp_path / "grid.json"
-        fresh = run_grid_supervised(
-            [workload], ["lru"], config,
-            supervisor=supervisor_config(), store=ResultStore(store_path),
+        fresh, _ = run_supervised(
+            tmp_path, [workload], ["lru"], config,
+            supervisor=supervisor_config(),
         )
-        resumed = run_grid_supervised(
-            [workload], ["lru"], config,
-            supervisor=supervisor_config(), store=ResultStore(store_path),
+        resumed, scheduler = run_supervised(
+            tmp_path, [workload], ["lru"], config,
+            supervisor=supervisor_config(),
         )
+        assert scheduler.stats.cache_hits == 1
         assert [simulated_fields(c) for c in resumed.cells] == [
             simulated_fields(c) for c in fresh.cells
         ]
 
 
 class TestObservability:
-    def test_worker_metrics_and_spans_merge_into_parent(self, workload, config):
+    def test_worker_metrics_and_spans_merge_into_parent(
+        self, tmp_path, workload, config
+    ):
         obs = Observability()
-        run_grid_supervised(
-            [workload], ["lru"], config,
+        run_supervised(
+            tmp_path, [workload], ["lru"], config,
             supervisor=supervisor_config(), obs=obs,
         )
         counters = obs.metrics.snapshot()["counters"]
-        assert any(not name.startswith("supervisor.") for name in counters), (
-            "expected worker-side simulation counters to merge into the parent"
-        )
+        assert any(
+            not name.startswith(("supervisor.", "scheduler."))
+            for name in counters
+        ), "expected worker-side simulation counters to merge into the parent"
         (root,) = obs.spans.tree()
-        assert root["name"] == "supervised_grid"
+        assert root["name"] == "scheduled_sweep"
         labels = [child["name"] for child in root["children"]]
         assert "worker:lru/w" in labels
 
 
 class TestAcceptanceScenario:
     """The issue's acceptance grid: one always-failing cell, one hang,
-    one fail-twice-then-succeed cell — plus checkpoint-resume."""
+    one fail-twice-then-succeed cell — plus resume from the cache."""
 
     def test_injected_fault_grid_completes_with_annotated_gaps(
         self, tmp_path, workload, config
     ):
-        store_path = tmp_path / "grid.json"
         plan = (
             FaultPlan()
             .add("lru", "w", FaultSpec("raise", fail_attempts=2))   # flaky
@@ -337,14 +360,14 @@ class TestAcceptanceScenario:
             .add("fifo", "w", FaultSpec("raise", ALWAYS))            # dead
         )
         obs = Observability()
-        grid = run_grid_supervised(
-            [workload], ["lru", "random", "fifo", "srrip"], config,
+        grid, _ = run_supervised(
+            tmp_path, [workload], ["lru", "random", "fifo", "srrip"], config,
             supervisor=supervisor_config(
                 workers=2, cell_timeout_seconds=0.5,
                 retry=RetryPolicy(max_retries=2, backoff_base_seconds=0.001,
                                   jitter_fraction=0.0),
             ),
-            store=ResultStore(store_path), fault_plan=plan, obs=obs,
+            fault_plan=plan, obs=obs,
         )
         # Flaky + hanging cells recovered; the dead cell degraded.
         assert [(c.policy) for c in grid.cells] == ["lru", "random", "srrip"]
@@ -357,13 +380,12 @@ class TestAcceptanceScenario:
 
         # Resume recomputes only the dead cell (fault it no longer has).
         obs2 = Observability()
-        resumed = run_grid_supervised(
-            [workload], ["lru", "random", "fifo", "srrip"], config,
-            supervisor=supervisor_config(),
-            store=ResultStore(store_path), obs=obs2,
+        resumed, scheduler = run_supervised(
+            tmp_path, [workload], ["lru", "random", "fifo", "srrip"], config,
+            supervisor=supervisor_config(), obs=obs2,
         )
         assert resumed.complete and len(resumed.cells) == 4
-        assert obs2.metrics.counter("supervisor.cells_cached") == 3
+        assert scheduler.stats.cache_hits == 3
         assert obs2.metrics.counter("supervisor.cells_ok") == 1
 
 
@@ -402,18 +424,37 @@ class TestGridResultDuplicates:
 
 class TestGridCli:
     def test_grid_subcommand_runs_and_resumes(self, tmp_path, capsys):
-        store = tmp_path / "store.json"
+        cache = tmp_path / "cache"
         args = [
             "grid", "--limit", "1", "--trace-scale", "0.02", "--seed", "7",
             "--policies", "lru", "random", "--workers", "1", "--retries", "1",
             "--backoff-base", "0.001", "--icache-kb", "8",
             "--start-method", START_METHOD,
-            "--resume", str(store),
+            "--cache-dir", str(cache),
         ]
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "2 cells checkpointed" in out
-        assert main(args) == 0  # resume: everything served from the store
+        assert "2 miss(es), 2 computed" in out
+        assert len(CellCache(cache)) == 2
+        assert main(args) == 0  # resume: everything served from the cache
+        out = capsys.readouterr().out
+        assert "2 hit(s), 0 miss(es), 0 computed" in out
+
+    def test_grid_without_cache_dir_persists_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main([
+            "grid", "--limit", "1", "--trace-scale", "0.02", "--seed", "7",
+            "--policies", "lru", "--workers", "1", "--icache-kb", "8",
+            "--start-method", START_METHOD,
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "Headline numbers" in out
+        assert "hit(s)" not in out  # no cache to account for
+        assert list(tmp_path.iterdir()) == []  # scratch cache removed
 
     def test_grid_subcommand_exits_2_on_partial_grid(self, tmp_path, capsys):
         code = main([
@@ -426,6 +467,7 @@ class TestGridCli:
         assert code == 2
         out = capsys.readouterr().out
         assert "partial grid" in out
+        assert "pass --cache-dir DIR" in out
         report = (tmp_path / "report.md").read_text()
         assert "### Failed cells" in report
 
