@@ -6,14 +6,16 @@ PYTHON ?= python
 
 # The fault-injection / robustness suite: the supervised worker pool
 # (driven through the scheduler), deterministic fault harness, cell-cache
-# durability, corrupted-input guards, and the crash-safe sweep scheduler
+# durability, corrupted-input guards, the crash-safe sweep scheduler
 # (incl. the SIGKILL kill-resume smoke test, which asserts bit-identical
-# resumption from the journal).
+# resumption from the journal), and the sentinel suites that inject
+# KernelFaults into the fast engine's batch loop.
 # pytest-timeout (when installed, as in CI) backstops a regressed hang.
 FAULT_TESTS = tests/test_faults.py tests/test_supervisor.py \
               tests/test_store_durability.py tests/test_failure_injection.py \
               tests/test_scheduler.py tests/test_service.py \
-              tests/test_service_daemon.py
+              tests/test_service_daemon.py tests/test_sentinel.py \
+              tests/test_telemetry_differential.py
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop

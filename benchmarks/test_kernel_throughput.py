@@ -66,11 +66,10 @@ def _time_engine(engine, config, records, options):
 def _tokenize(records):
     """Pre-tokenize the benchmark trace, timing the one-off pass.
 
-    Sweeps and timing studies hold tokens in ``TokenCache`` across cells,
-    so the steady-state fast-path number is measured with tokens in hand;
-    the tokenization cost is reported separately in the artifact (a
-    ``TraceTokens`` stands in for the record iterable, so the same object
-    feeds every round and policy).
+    The steady-state fast-path number is measured with tokens in hand:
+    tokenization is a one-off pass per trace, reported separately in the
+    artifact (a ``TraceTokens`` stands in for the record iterable, so the
+    same object feeds every round and policy).
     """
     from repro.kernel.tokenizer import tokenize_trace
 

@@ -72,7 +72,6 @@ __all__ = [
     "make_suite",
     "make_workload",
     "BatchKernel",
-    "TokenCache",
     "TraceTokens",
     "batch_kernel",
     "tokenize_trace",
@@ -84,8 +83,8 @@ __all__ = [
 #: Facade names resolved lazily through :mod:`repro.api` (the kernel and
 #: service packages behind them are deferred imports there too).
 _LAZY_EXPORTS = frozenset(
-    {"BatchKernel", "TokenCache", "TraceTokens", "batch_kernel",
-     "tokenize_trace", "ServiceClient", "ServiceError"}
+    {"BatchKernel", "TraceTokens", "batch_kernel", "tokenize_trace",
+     "ServiceClient", "ServiceError"}
 )
 
 

@@ -347,6 +347,7 @@ class IntervalAnalyzer:
             x = self.F              -> x: self.F
             x = self.F[i]           -> x: self.F[*]
             x = y[i]   (y aliased)  -> x: <y-key>[*]
+            x, y = self.F           -> x/y: self.F[*]
             for x in self.F:        -> x: self.F[*]
             for i, x in enumerate(self.F):            -> x: self.F[*]
             for x, y in zip(self.A, self.B):          -> x/y element-wise
@@ -380,8 +381,11 @@ class IntervalAnalyzer:
             if isinstance(target, ast.Name):
                 record(target.id, key)
             elif isinstance(target, (ast.Tuple, ast.List)):
-                for element in target.elts:
-                    bind_target(element, None)
+                # Unpacking a container view binds each name to one of
+                # its elements (``r0, r1, r2 = state.tables``).
+                element = None if key is None else element_key(key)
+                for item in target.elts:
+                    bind_target(item, element)
             elif isinstance(target, ast.Starred):
                 bind_target(target.value, None)
             # Subscript/Attribute stores mutate through the name

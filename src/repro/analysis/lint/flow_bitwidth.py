@@ -20,6 +20,11 @@ The proof is inductive and instantiated at the paper configuration:
    check that each store re-establishes it.  The first escaping store is
    the finding.
 
+Closures defined inside a method — the kernels' chunk executors — are
+analyzed as part of their class, in the enclosing method's scope: its
+alias map (the alias pre-pass already walks the closure bodies) and its
+constants, including locals bound once to a configuration constant.
+
 Constant resolution is *name-keyed at the paper config*: attribute
 chains ending in a ``GHRPConfig.paper_exact()`` parameter name
 (``config.signature_bits``, ``bank.counter_max``, ``state.sig_mask``)
@@ -159,6 +164,47 @@ def _class_methods(node: ast.ClassDef) -> list[ast.FunctionDef | ast.AsyncFuncti
     ]
 
 
+def _nested_functions(
+    func: ast.FunctionDef | ast.AsyncFunctionDef,
+) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """Closures defined inside ``func`` (the kernels' chunk executors)."""
+    found: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append(child)
+                visit(child)
+            elif not isinstance(child, (ast.ClassDef, ast.Lambda)):
+                visit(child)
+
+    visit(func)
+    return found
+
+
+def _bound_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, int]:
+    """How many times each plain name is bound anywhere in ``func``."""
+    counts: dict[str, int] = {}
+
+    def bind(target: ast.expr) -> None:
+        for node in ast.walk(target):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                counts[node.id] = counts.get(node.id, 0) + 1
+
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                bind(target)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.For, ast.AsyncFor)):
+            bind(node.target)
+        elif isinstance(node, ast.comprehension):
+            bind(node.target)
+        elif isinstance(node, ast.arguments):
+            for arg in node.posonlyargs + node.args + node.kwonlyargs:
+                counts[arg.arg] = counts.get(arg.arg, 0) + 1
+    return counts
+
+
 def _prepare_method(
     func: ast.FunctionDef | ast.AsyncFunctionDef, module_constants: dict[str, int]
 ) -> _Method:
@@ -171,7 +217,31 @@ def _prepare_method(
             key = resolver.resolve_key(node)
             if key is not None:
                 constants[key] = env[node.attr]
+    # A local bound exactly once to a configuration constant is that
+    # constant everywhere it is visible — in particular inside the
+    # method's closures, which read it as a free variable.
+    bound = _bound_names(func)
+    for stmt in func.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+            and isinstance(stmt.value, ast.Attribute)
+            and stmt.value.attr in env
+            and bound.get(stmt.targets[0].id) == 1
+        ):
+            constants[stmt.targets[0].id] = env[stmt.value.attr]
     return _Method(func=func, aliases=aliases, constants=constants)
+
+
+def _closure_methods(method: _Method) -> list[_Method]:
+    """The method's closures, analyzed in its scope: the enclosing
+    method's aliases (its alias pre-pass already walks the closure
+    bodies) and constants."""
+    return [
+        _Method(func=inner, aliases=method.aliases, constants=method.constants)
+        for inner in _nested_functions(method.func)
+    ]
 
 
 def _store_keys(method: _Method) -> set[str]:
@@ -240,6 +310,10 @@ def _harvest_class(
     injected_summaries: dict[str, Interval],
 ) -> ClassWidths:
     methods = [_prepare_method(func, module_constants) for func in _class_methods(node)]
+    # Stores in chunk-executor closures are stores of the class too.
+    bodies = methods + [
+        closure for method in methods for closure in _closure_methods(method)
+    ]
 
     candidates: set[str] = set()
     for method in methods:
@@ -283,7 +357,7 @@ def _harvest_class(
         fact = Interval(0, value.hi)
         facts[event.key] = facts.get(event.key, Interval.bottom()).join(fact)
 
-    for method in methods:
+    for method in bodies:
         analyzer = IntervalAnalyzer(
             constants=method.constants,
             field_bounds=hypothesis,
@@ -322,7 +396,7 @@ def _harvest_class(
         seen.add(anchor)
         result.escapes.append((event.stmt, event.key, bound, event.value))
 
-    for method in methods:
+    for method in bodies:
         analyzer = IntervalAnalyzer(
             constants=method.constants,
             field_bounds=bounds,
@@ -452,7 +526,7 @@ class Table1WidthRule(ProjectRule):
 
     #: (class, field key, config attribute giving the bit width, label)
     EXPECTED = (
-        ("GHRPKernelState", "self.tables[*]", "counter_bits", "table counters"),
+        ("GHRPCacheKernel", "self.state.tables[*]", "counter_bits", "table counters"),
         ("GHRPKernelState", "self.spec", "history_bits", "speculative path history"),
         ("GHRPKernelState", "self.retired", "history_bits", "retired path history"),
         ("GHRPCacheKernel", "self._signatures[*]", "signature_bits", "per-block signatures"),

@@ -59,10 +59,9 @@ __all__ = [
     "TelemetryRun",
     # The batch-kernel API: the BatchKernel protocol and its @batch_kernel
     # registration (the fast-path opt-in), plus trace pre-tokenization —
-    # tokenize once with tokenize_trace (or a TokenCache), then pass the
-    # TraceTokens wherever records go to amortize the lowering across runs.
+    # tokenize once with tokenize_trace, then pass the TraceTokens
+    # wherever records go to amortize the lowering across runs.
     "BatchKernel",
-    "TokenCache",
     "TraceTokens",
     "batch_kernel",
     "tokenize_trace",
@@ -76,7 +75,7 @@ __all__ = [
 # the facade's import path should not pay for), so its exports resolve on
 # first attribute access rather than at module import.
 _KERNEL_EXPORTS = frozenset(
-    {"BatchKernel", "TokenCache", "TraceTokens", "batch_kernel", "tokenize_trace"}
+    {"BatchKernel", "TraceTokens", "batch_kernel", "tokenize_trace"}
 )
 
 # The service client stays lazy for the same reason: importing the facade

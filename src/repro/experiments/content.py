@@ -62,8 +62,10 @@ CELL_DIGEST_SCHEMA = 1
 #: Version of the pickled warm-up snapshot layout, part of every
 #: :func:`warmup_digest`.  Bump it whenever what a snapshot pickles
 #: changes shape (format 2: derivable signature tables and the SDBP
-#: sampler pickle compactly); results and ``cell_digest`` are unaffected.
-SNAPSHOT_FORMAT = 2
+#: sampler pickle compactly; format 3: kernels without per-access state
+#: and a fast front end carrying its fault arm); results and
+#: ``cell_digest`` are unaffected.
+SNAPSHOT_FORMAT = 3
 
 
 def _library_version() -> str:

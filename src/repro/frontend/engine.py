@@ -167,6 +167,24 @@ class FrontEnd:
             decrements=tables.decrements,
         )
 
+    def _observe_warmup(self, rs: _RunState) -> None:
+        """Close the warm-up phase span and record the boundary.
+
+        Shared by both engines; only called with observability enabled,
+        right after the warm-up statistics snapshot.
+        """
+        obs = self.obs
+        obs.finish_span(rs.phase_span)
+        rs.phase_span = obs.start_span("measured")
+        obs.set_gauge("sim.warmup_instructions", rs.warmed_at)
+        obs.event(
+            "warmup_complete",
+            instructions=rs.warmed_at,
+            icache_misses=rs.icache_warm.misses,
+            btb_misses=rs.btb_warm.misses,
+        )
+        self._emit_table_saturation(phase="warmup")
+
     def _setup_telemetry(self, options: RunOptions) -> None:
         """Attach an :class:`~repro.telemetry.interval.IntervalRecorder`
         when the run options request sampling; otherwise leave the
@@ -277,16 +295,7 @@ class FrontEnd:
                 rs.btb_warm = btb.stats.snapshot()
                 rs.warmed_at = stream.instructions_seen
                 if obs.enabled:
-                    obs.finish_span(rs.phase_span)
-                    rs.phase_span = obs.start_span("measured")
-                    obs.set_gauge("sim.warmup_instructions", rs.warmed_at)
-                    obs.event(
-                        "warmup_complete",
-                        instructions=rs.warmed_at,
-                        icache_misses=rs.icache_warm.misses,
-                        btb_misses=rs.btb_warm.misses,
-                    )
-                    self._emit_table_saturation(phase="warmup")
+                    self._observe_warmup(rs)
 
             # Interval boundary: both engines test the same branch count,
             # so the sample series is engine-independent.
@@ -411,8 +420,10 @@ def build_frontend(
     ``engine`` selects the simulation path: ``"reference"`` is the
     event-driven engine above; ``"fast"`` requests the batched kernel
     (:mod:`repro.kernel`), which is bit-identical but only available when
-    every configured policy opts in — otherwise this transparently falls
-    back to the reference engine.
+    :func:`~repro.kernel.engine.fast_path_unsupported_reason` finds no
+    reason against the configuration — otherwise this falls back to the
+    reference engine and records the reason as
+    ``fast_path_fallback_reason``.
     """
     config = config or FrontEndConfig()
     if engine not in ENGINES:
@@ -462,7 +473,12 @@ def build_frontend(
         from repro.kernel.engine import FastFrontEnd, fast_path_unsupported_reason
 
         reason = fast_path_unsupported_reason(
-            icache=icache, btb=btb, prefetcher=prefetcher
+            icache,
+            btb,
+            prefetcher,
+            wrong_path_depth=config.wrong_path_depth,
+            indirect=indirect,
+            obs=obs,
         )
         if reason is None:
             return FastFrontEnd(**parts)

@@ -5,13 +5,11 @@ This package is a *semantic twin* of the reference simulation stack
 :mod:`repro.frontend.engine`), flattened for throughput:
 
 - the trace pre-tokenizer (:mod:`repro.kernel.tokenizer`) lowers each
-  reconstructed fetch stream into flat struct-of-arrays token streams,
-  cached per ``(workload, config)`` digest;
+  reconstructed fetch stream into flat struct-of-arrays token streams;
 - one :class:`~repro.kernel.base.CacheKernel` fuses the cache engine and
-  its replacement policy into a single ``access(block, pc)`` call — no
-  ``AccessContext``/``AccessResult`` allocation, no virtual dispatch per
-  policy event — and may additionally provide a *window executor* that
-  replays whole chunks of the token stream per call;
+  its replacement policy into *window executors* that replay whole
+  chunks of the token stream per call — no ``AccessContext``/
+  ``AccessResult`` allocation, no virtual dispatch per policy event;
 - per-set metadata (tags, signatures, prediction bits, recency) is
   **aliased**, not copied: kernels mutate the reference objects' own state
   lists in place, so mid-run introspection (``probe``, telemetry) and
@@ -26,8 +24,9 @@ This package is a *semantic twin* of the reference simulation stack
 Kernels implement the declarative :class:`~repro.kernel.base.BatchKernel`
 protocol and register against the *exact* policy class they replay with
 the :func:`~repro.kernel.base.batch_kernel` decorator — registration is
-the fast-path opt-in; policies without a registered kernel transparently
-fall back to the reference engine.  The differential suite
+the fast-path opt-in; policies without a registered kernel fall back to
+the reference engine through the build-time gate
+(:func:`~repro.kernel.engine.fast_path_unsupported_reason`).  The differential suite
 (``tests/test_kernel_differential.py``) pins the two paths bit-identical:
 same hit/miss/eviction/bypass counts, same predictor-table contents, same
 per-block metadata.
@@ -46,12 +45,7 @@ from repro.kernel.base import (
     registered_batch_kernels,
 )
 from repro.kernel.engine import FastFrontEnd, fast_path_unsupported_reason
-from repro.kernel.tokenizer import (
-    HAVE_NUMPY,
-    TokenCache,
-    TraceTokens,
-    tokenize_trace,
-)
+from repro.kernel.tokenizer import HAVE_NUMPY, TraceTokens, tokenize_trace
 
 # Importing the kernel modules registers their kernels.
 from repro.kernel import direction, ghrp, lru, sdbp  # noqa: E402,F401  (registration side effects)
@@ -63,7 +57,6 @@ __all__ = [
     "CacheKernel",
     "FastFrontEnd",
     "KernelContext",
-    "TokenCache",
     "TraceTokens",
     "WindowPlan",
     "batch_kernel",

@@ -21,9 +21,10 @@ is by **exact** policy class: a subclass with different semantics (e.g.
 MRU subclassing LRU) must register its own kernel or fall back to the
 reference engine.
 
-Kernels also keep a scalar ``access(block, pc)`` path — the default
-chunk executor simply loops it, the sentinel's single-record bisection
-windows use it, and fault injection wraps it.
+Kernels run only through their chunk executors, driven by the fast
+engine's batch loop.  The one per-access path is
+:meth:`repro.kernel.sdbp.SDBPKernel.access`, which :class:`BTBKernel`
+loops over the BTB stream as SDBP's BTB executor.
 """
 
 from __future__ import annotations
@@ -205,35 +206,22 @@ class KernelContext:
         for _, state in self._ghrp_states:
             state.sync()
 
-    def recover_history_for(self, predictor: "GHRPPredictor") -> bool:
-        """Squash wrong-path history on the kernel state of ``predictor``.
-
-        Returns False when no kernel aliases that predictor (the caller
-        must then recover the reference object directly).
-        """
-        for known, state in self._ghrp_states:
-            if known is predictor:
-                state.recover()
-                return True
-        return False
-
 
 class CacheKernel(BatchKernel):
     """Flattened twin of one ``SetAssociativeCache`` + its policy.
 
-    ``access(block, pc)`` takes a **block-aligned** address (callers align;
-    the fetch stream and the BTB wrapper already produce aligned blocks)
-    and returns :data:`HIT`, :data:`FILL`, or :data:`BYPASS`, leaving the
-    touched set/way in :attr:`set_index`/:attr:`way` for wrappers (the BTB)
-    that keep side arrays.
-
     Statistic counters accumulate in kernel-local deltas; :meth:`sync`
-    flushes them into the reference ``CacheStats`` and is idempotent, so
-    engines may sync mid-run (warm-up boundary) and again at the end.
+    flushes them into the reference ``CacheStats`` (and, with
+    observability on, into the ``<scope>.*`` counters the reference
+    engine counts per access) and is idempotent, so engines may sync
+    mid-run (warm-up boundary) and again at the end.
 
-    Subclasses plug into batching by overriding :meth:`_make_window`; the
-    default executor loops the scalar ``access`` path, so any registered
-    kernel batches correctly even before it grows a specialized span.
+    Subclasses provide their I-cache-stream executor by overriding
+    :meth:`_make_window` and, for the BTB stream, either
+    :meth:`begin_btb_window` or a per-access ``access(block, pc)`` the
+    :class:`BTBKernel` wrapper loops.  :meth:`unsupported_reason` names
+    the policy shapes an executor does not replay, so the build-time gate
+    sends them to the reference engine.
     """
 
     def __init__(self, cache: "SetAssociativeCache"):
@@ -242,29 +230,15 @@ class CacheKernel(BatchKernel):
         self._offset_bits = cache._offset_bits
         self._index_mask = cache._index_mask
         self._tag_shift = cache._tag_shift
-        obs = cache.obs
-        self.obs = obs
-        self._obs_on = obs.enabled
-        scope = cache.obs_scope
-        self.scope = scope
-        self._m_hits = scope + ".hits"
-        self._m_misses = scope + ".misses"
-        self._m_bypasses = scope + ".bypasses"
-        self._m_evictions = scope + ".evictions"
-        self._m_dead_evictions = scope + ".dead_evictions"
+        self.obs = cache.obs
+        self.scope = cache.obs_scope
         self._d_hits = 0
         self._d_misses = 0
         self._d_bypasses = 0
         self._d_evictions = 0
         self._d_dead_evictions = 0
-        # Outcome of the most recent access().
-        self.set_index = 0
-        self.way: int | None = None
-        # Raised by the engine while fetching down a mispredicted path;
-        # only wrong-path-aware kernels (GHRP) read it.
-        self.wrong_path = False
         # Batch-window bindings (begin_window) and the derived
-        # block-address → way map specialized spans maintain.
+        # block-address → way map the executors maintain.
         self._window_span = None
         self._window_flush = None
         self._blockmap: dict[int, int] | None = None
@@ -276,13 +250,18 @@ class CacheKernel(BatchKernel):
         """Construct a kernel; override to pull shared state from ``context``."""
         return cls(cache, policy)
 
-    @abc.abstractmethod
-    def access(self, block: int, pc: int) -> int:
-        """One demand access to the aligned ``block`` driven by ``pc``."""
+    @classmethod
+    def unsupported_reason(cls, policy, structure: str) -> str | None:
+        """Why this kernel's executors cannot replay ``policy`` on
+        ``structure`` (``"icache"`` or ``"btb"``); None when they can.
+
+        Consulted once per front end by
+        :func:`repro.kernel.engine.fast_path_unsupported_reason`.
+        """
+        return None
 
     def reload(self) -> None:
         """Re-capture scalar state from the reference objects (run start)."""
-        self.wrong_path = False
         self._window_span = None
         self._window_flush = None
         self._blockmap = None
@@ -292,14 +271,7 @@ class CacheKernel(BatchKernel):
     # ------------------------------------------------------------------
     def begin_window(self, plan: WindowPlan):
         """Bind token views for one window; returns the chunk executor."""
-        made = self._make_window(plan)
-        span, flush = made if made is not None else (None, None)
-        if span is None:
-            span = self._generic_window_span(plan)
-            flush = None
-            # The scalar loop does not maintain the block map; drop it so
-            # a later specialized window rebuilds from the live tags.
-            self._blockmap = None
+        span, flush = self._make_window(plan)
         self._window_span = span
         self._window_flush = flush
         return span
@@ -313,45 +285,26 @@ class CacheKernel(BatchKernel):
         span(lo, hi)
 
     def _make_window(self, plan: WindowPlan):
-        """Hook for specialized executors: return ``(span, flush)``.
+        """The I-cache-stream executor: return ``(span, flush)``.
 
         ``span(lo, hi)`` executes records ``[lo, hi)``; ``flush()`` (or
         None) writes closure-buffered deltas back onto the kernel so
-        :meth:`sync` sees them.  Returning None (the default) selects the
-        generic scalar-loop executor.
+        :meth:`sync` sees them.
         """
-        return None
-
-    def _generic_window_span(self, plan: WindowPlan):
-        """Fallback executor: loop the scalar ``access`` path.
-
-        Looks ``access`` up per chunk (not per window) so a fault wrapper
-        armed mid-run still intercepts every call.
-        """
-        tokens = plan.tokens
-        blocks, pcs, acc_end = tokens.access_view(1 << self._offset_bits)
-        cursor = 0
-
-        def span(lo: int, hi: int) -> None:
-            nonlocal cursor
-            access = self.access
-            end = acc_end[hi - 1] if hi > 0 else 0
-            for i in range(cursor, end):
-                access(blocks[i], pcs[i])
-            cursor = end
-
-        return span
+        raise NotImplementedError(
+            f"{type(self).__name__} has no I-cache executor"
+        )
 
     def begin_btb_window(self, plan: WindowPlan, wrapper: "BTBKernel"):
-        """Fused BTB-stream executor, or None for the wrapper's generic
-        per-access loop.  Specialized kernels override this to handle the
-        target array inline (see :class:`BTBKernel.begin_window`)."""
+        """Fused BTB-stream executor, or None for the wrapper's per-access
+        loop over ``access``.  Kernels override this to handle the target
+        array inline (see :class:`BTBKernel.begin_window`)."""
         return None
 
     def _build_blockmap(self) -> dict[int, int]:
-        """block address → way for every valid line (specialized spans
-        replace the per-access ``row.index(tag)`` probe with one dict
-        get, maintaining the map incrementally on fill/evict)."""
+        """block address → way for every valid line (the executors probe
+        with one dict get instead of ``row.index(tag)``, maintaining the
+        map incrementally on fill/evict)."""
         tag_shift = self._tag_shift
         offset_bits = self._offset_bits
         blockmap: dict[int, int] = {}
@@ -377,7 +330,7 @@ class CacheKernel(BatchKernel):
         )
 
     def _base_digest(self) -> dict:
-        """The state every kernel shares: tags, deltas, outcome scalars."""
+        """The state every kernel shares: tags, deltas, the block map."""
         return {
             "kernel": type(self).__name__,
             "tags": self._tags,
@@ -388,9 +341,6 @@ class CacheKernel(BatchKernel):
                 "evictions": self._d_evictions,
                 "dead_evictions": self._d_dead_evictions,
             },
-            "set_index": self.set_index,
-            "way": self.way,
-            "wrong_path": self.wrong_path,
             "blockmap": (
                 sorted(self._blockmap.items()) if self._blockmap is not None else None
             ),
@@ -404,32 +354,37 @@ class CacheKernel(BatchKernel):
         stats = self.cache.stats
         hits = self._d_hits
         misses = self._d_misses
+        bypasses = self._d_bypasses
+        evictions = self._d_evictions
+        dead_evictions = self._d_dead_evictions
         stats.accesses += hits + misses
         stats.hits += hits
         stats.misses += misses
-        stats.bypasses += self._d_bypasses
-        stats.evictions += self._d_evictions
-        stats.dead_evictions += self._d_dead_evictions
+        stats.bypasses += bypasses
+        stats.evictions += evictions
+        stats.dead_evictions += dead_evictions
         # The reference engine ticks ``now`` once per access.
         self.cache.now += hits + misses
+        obs = self.obs
+        if obs.enabled:
+            # The reference engine counts these per access; a counter it
+            # never touches must not appear, so zero deltas are skipped.
+            scope = self.scope
+            for name, delta in (
+                ("hits", hits),
+                ("misses", misses),
+                ("bypasses", bypasses),
+                ("evictions", evictions),
+                ("dead_evictions", dead_evictions),
+            ):
+                if delta:
+                    obs.inc(f"{scope}.{name}", delta)
         self._d_hits = 0
         self._d_misses = 0
         self._d_bypasses = 0
         self._d_evictions = 0
         self._d_dead_evictions = 0
 
-    # ------------------------------------------------------------------
-    # Shared slow-path helpers (miss path only)
-    # ------------------------------------------------------------------
-    def _find_invalid_way(self, row: list[int]) -> int:
-        """First invalid way of ``row``, or -1 when the set is full."""
-        try:
-            return row.index(_INVALID_TAG)
-        except ValueError:
-            return -1
-
-    def _victim_address(self, row: list[int], set_index: int, way: int) -> int:
-        return (row[way] << self._tag_shift) | (set_index << self._offset_bits)
 
 
 class BTBKernel(BatchKernel):
@@ -437,14 +392,12 @@ class BTBKernel(BatchKernel):
 
     Wraps the inner cache kernel (which replays the BTB's replacement
     policy) and adds the per-way target array plus target-misprediction
-    accounting.  ``access`` returns True exactly when the reference
-    ``BTBResult`` would have ``hit and not target_correct`` — the only bit
-    the front end consumes.
+    accounting.
 
-    For batching, the wrapper asks the inner kernel for a *fused*
-    BTB-stream executor (:meth:`CacheKernel.begin_btb_window`) so the
-    target handling runs inline with the replacement decision; kernels
-    without one fall back to the wrapper's scalar ``access`` loop.
+    The wrapper asks the inner kernel for a *fused* BTB-stream executor
+    (:meth:`CacheKernel.begin_btb_window`) so the target handling runs
+    inline with the replacement decision; an inner kernel without one
+    (SDBP) runs through the wrapper's loop over :meth:`access`.
     """
 
     __slots__ = (
@@ -454,7 +407,6 @@ class BTBKernel(BatchKernel):
         "_block_mask",
         "_d_target_mispredictions",
         "obs",
-        "_obs_on",
         "_window_span",
         "_window_flush",
     )
@@ -466,7 +418,6 @@ class BTBKernel(BatchKernel):
         self._block_mask = ~(btb.geometry.block_size - 1)
         self._d_target_mispredictions = 0
         self.obs = btb.obs
-        self._obs_on = btb.obs.enabled
         self._window_span = None
         self._window_flush = None
 
@@ -474,25 +425,19 @@ class BTBKernel(BatchKernel):
     def tokenize_requirements(cls) -> frozenset[str]:
         return frozenset({"btb-stream"})
 
-    def access(self, pc: int, target: int) -> bool:
+    def access(self, pc: int, target: int) -> None:
+        """One BTB lookup through the inner kernel's ``access``; the
+        inner kernel leaves the touched set/way in ``set_index``/``way``."""
         inner = self.inner
         status = inner.access(pc & self._block_mask, pc)
         if status == HIT:
             row = self._targets[inner.set_index]
             way = inner.way
-            stored = row[way]
-            if stored != target:
+            if row[way] != target:
                 self._d_target_mispredictions += 1
                 row[way] = target
-                if self._obs_on:
-                    self.obs.inc("btb.target_mispredictions")
-                    self.obs.event(
-                        "btb_target_update", pc=pc, stale_target=stored, target=target
-                    )
-                return True
         elif status == FILL:
             self._targets[inner.set_index][inner.way] = target
-        return False
 
     def reload(self) -> None:
         self.inner.reload()
@@ -504,17 +449,18 @@ class BTBKernel(BatchKernel):
     # ------------------------------------------------------------------
     def begin_window(self, plan: WindowPlan):
         made = self.inner.begin_btb_window(plan, self)
-        span, flush = made if made is not None else (None, None)
-        if span is None:
+        if made is not None:
+            span, flush = made
+        else:
             tokens = plan.tokens
             bpc = tokens.bpc
             btarget = tokens.btarget
             btb_end = tokens.btb_end
+            access = self.access
             cursor = 0
 
             def span(lo: int, hi: int) -> None:
                 nonlocal cursor
-                access = self.access
                 end = btb_end[hi - 1] if hi > 0 else 0
                 for j in range(cursor, end):
                     access(bpc[j], btarget[j])
@@ -546,5 +492,8 @@ class BTBKernel(BatchKernel):
         if flush is not None:
             flush()
         self.inner.sync()
-        self.btb.target_mispredictions += self._d_target_mispredictions
+        delta = self._d_target_mispredictions
+        self.btb.target_mispredictions += delta
+        if delta and self.obs.enabled:
+            self.obs.inc("btb.target_mispredictions", delta)
         self._d_target_mispredictions = 0

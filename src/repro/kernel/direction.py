@@ -226,7 +226,8 @@ class HashedPerceptronKernel:
 
         Returns ``None`` when this predictor configuration cannot be
         chain-precomputed (history registers wider than uint64), in which
-        case the engine must stay on the scalar loop.
+        case the engine's direction-stream executor calls
+        :meth:`predict_and_update` per conditional branch.
         """
         if not HAVE_NUMPY:
             return None

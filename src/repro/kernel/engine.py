@@ -5,31 +5,33 @@ engine.FrontEnd` — same constructor, same ``run`` signature, same
 ``SimulationResult`` — but replaces the per-access call chain with cache
 kernels.  Every simulation decision is replicated exactly (the
 differential suite asserts bit-identical statistics *and* internal
-state), including the warm-up boundary, wrong-path episodes, and the
-observability events the reference engine emits.
+state), including the warm-up boundary and the metrics the reference
+engine counts.
 
-Two execution strategies share the kernels:
+One loop executes every window: :meth:`FastFrontEnd._run_window`
+tokenizes it (:mod:`repro.kernel.tokenizer`), binds each kernel's chunk
+executor via the :class:`~repro.kernel.base.BatchKernel` protocol, and
+:meth:`FastFrontEnd._run_window_batch` runs whole chunks of records per
+structure between engine events.  Chunk boundaries land exactly on the
+records where the reference engine fires the warm-up snapshot, a
+telemetry sample, or the instruction limit, plus the record performing
+an armed :class:`~repro.sentinel.faults.KernelFault`'s access; every
+``_sync_kernels`` barrier flushes the open window first, so sentinels,
+telemetry intervals, and warm-up snapshots observe identical state at
+identical points.
 
-- the **scalar loop** (:meth:`FastFrontEnd._run_window_scalar`) iterates
-  records with the fetch-stream reconstruction inlined, calling each
-  kernel's ``access`` path per event — always available, and required
-  for wrong-path simulation, indirect prediction, observability, and
-  fault injection;
-- the **chunked batch loop** (:meth:`FastFrontEnd._run_window_batch`)
-  pre-tokenizes the window (:mod:`repro.kernel.tokenizer`), binds each
-  kernel's window executor via the :class:`~repro.kernel.base.BatchKernel`
-  protocol, and runs whole chunks of records per structure between
-  engine events.  Chunk boundaries land exactly on the records where the
-  scalar loop would fire the warm-up snapshot, a telemetry sample, or
-  the instruction limit, and every ``_sync_kernels`` barrier flushes the
-  open window first — so sentinels, telemetry intervals, and warm-up
-  snapshots observe identical state at identical points.
+Metrics-only observability (``obs.enabled`` with no event tracer) runs
+on the same loop: kernels add their delta counters to ``obs`` at
+``sync()``, and the warm-up barrier runs the reference engine's obs
+block.  Per-access event tracing is reference-only.
 
-The fast path is all-or-nothing per front end: both the I-cache and BTB
-policies must have registered batch kernels, and features that are not
-kernelized (prefetching, cache-efficiency tracking) force the reference
-engine.  :func:`fast_path_unsupported_reason` is the single gate,
-consulted by :func:`repro.frontend.engine.build_frontend`.
+The fast path is all-or-nothing per front end and decided once, at build
+time: :func:`fast_path_unsupported_reason` is the single gate, consulted
+by :func:`repro.frontend.engine.build_frontend`.  Anything the batch loop
+does not replay (wrong-path fetch, indirect prediction, event tracing,
+prefetching, efficiency tracking, unregistered policies, predictor
+shapes the executors do not unroll) runs on the reference engine, and
+the reason is recorded as ``fast_path_fallback_reason``.
 """
 
 from __future__ import annotations
@@ -42,42 +44,64 @@ from repro.frontend.options import RunOptions, resolve_run_options
 from repro.frontend.results import SimulationResult
 from repro.kernel.base import BTBKernel, KernelContext, WindowPlan, batch_kernel_for
 from repro.kernel.direction import HashedPerceptronKernel
-from repro.kernel.ghrp import GHRPBTBKernel, GHRPCacheKernel, ghrp_batch_ready
 from repro.kernel.tokenizer import HAVE_NUMPY, TraceTokens, tokenize_trace
-from repro.policies.ghrp_policy import GHRPBTBPolicy
-from repro.traces.record import BranchRecord, BranchType
+from repro.obs import NULL_OBS
+from repro.policies.ghrp_policy import GHRPBTBPolicy, GHRPPolicy
+from repro.traces.record import BranchRecord
 from repro.traces.reconstruct import _MAX_SEQUENTIAL_GAP
 
 __all__ = ["FastFrontEnd", "fast_path_unsupported_reason"]
 
-# Windows below this many records run the scalar loop: tokenizing has a
-# fixed numpy-dispatch cost that only amortizes over real windows (the
-# sentinel's single-record bisection replays stay scalar).
-_MIN_BATCH_RECORDS = 64
 
-
-def fast_path_unsupported_reason(icache, btb, prefetcher) -> str | None:
+def fast_path_unsupported_reason(
+    icache,
+    btb,
+    prefetcher,
+    *,
+    wrong_path_depth: int = 0,
+    indirect=None,
+    obs=NULL_OBS,
+) -> str | None:
     """Why this configuration cannot run on the kernel engine (None = it can).
 
     The fast path requires a :func:`~repro.kernel.base.batch_kernel`
     registration for every policy's exact class — registering the kernel
-    *is* the opt-in; prefetching and efficiency tracking are
-    reference-only features.
+    *is* the opt-in — and a policy shape that kernel's executors replay
+    (:meth:`~repro.kernel.base.CacheKernel.unsupported_reason`).
+    Prefetching, efficiency tracking, wrong-path fetch, indirect
+    prediction, and per-access event tracing are reference-only features.
     """
+    if not HAVE_NUMPY:
+        return "the batch loop requires numpy"
     if prefetcher is not None:
         return "prefetching is not kernelized"
+    if wrong_path_depth > 0:
+        return "wrong-path simulation requires the reference engine"
+    if indirect is not None:
+        return "indirect target prediction requires the reference engine"
+    if obs.tracer is not None:
+        return "event tracing requires the reference engine"
     if icache.efficiency is not None or btb.efficiency is not None:
         return "efficiency tracking requires the reference engine"
     for label, policy in (("icache", icache.policy), ("btb", btb.policy)):
-        if batch_kernel_for(policy) is None:
+        kernel_cls = batch_kernel_for(policy)
+        if kernel_cls is None:
             return f"{label} policy {policy.name!r} has no registered batch kernel"
-    btb_policy = btb.policy
-    if (
-        isinstance(btb_policy, GHRPBTBPolicy)
-        and btb_policy.icache_policy is not None
-        and btb_policy.icache_policy.attached_cache is None
-    ):
-        return "coupled GHRP BTB policy's I-cache policy is not attached"
+        reason = kernel_cls.unsupported_reason(policy, label)
+        if reason is not None:
+            return f"{label} policy {policy.name!r}: {reason}"
+    icache_policy, btb_policy = icache.policy, btb.policy
+    if isinstance(btb_policy, GHRPBTBPolicy):
+        if btb_policy.standalone:
+            if (
+                isinstance(icache_policy, GHRPPolicy)
+                and icache_policy.predictor is btb_policy.predictor
+            ):
+                # Two history streams advancing one register interleave
+                # per record; no per-structure chunking preserves that.
+                return "standalone GHRP BTB shares its predictor with the GHRP I-cache"
+        elif btb_policy.icache_policy is not icache_policy:
+            return "coupled GHRP BTB policy is not coupled to this front end's I-cache"
     return None
 
 
@@ -87,7 +111,12 @@ class FastFrontEnd(FrontEnd):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         reason = fast_path_unsupported_reason(
-            icache=self.icache, btb=self.btb, prefetcher=self.prefetcher
+            self.icache,
+            self.btb,
+            self.prefetcher,
+            wrong_path_depth=self.wrong_path_depth,
+            indirect=self.indirect,
+            obs=self.obs,
         )
         if reason is not None:
             raise ValueError(f"fast engine unsupported: {reason}")
@@ -110,6 +139,8 @@ class FastFrontEnd(FrontEnd):
             if type(self.direction) is HashedPerceptronPredictor
             else None
         )
+        # The armed KernelFault of the current run (repro.sentinel.faults).
+        self._fault_arm = None
 
     # ------------------------------------------------------------------
     # Kernel synchronization
@@ -129,35 +160,6 @@ class FastFrontEnd(FrontEnd):
         self._context.sync()
 
     # ------------------------------------------------------------------
-    # Wrong-path speculation (kernelized)
-    # ------------------------------------------------------------------
-    def _simulate_wrong_path(self, wrong_next_pc: int) -> None:
-        obs = self.obs
-        depth = self.wrong_path_depth
-        if obs.enabled:
-            obs.inc("frontend.wrong_path_episodes")
-            obs.event("wrong_path_enter", pc=wrong_next_pc, depth=depth)
-        kernel = self._icache_kernel
-        kernel.wrong_path = True
-        block_size = self.icache.geometry.block_size
-        block = wrong_next_pc & ~(block_size - 1)
-        access = kernel.access
-        for _ in range(depth):
-            access(block, wrong_next_pc if wrong_next_pc > block else block)
-            block += block_size
-        self.wrong_path_accesses += depth
-        kernel.wrong_path = False
-        if self.ghrp is not None:
-            if not self._context.recover_history_for(self.ghrp):
-                # No kernel aliases this predictor; recover it directly.
-                self.ghrp.recover_history()
-        if obs.enabled:
-            obs.event("wrong_path_exit", accesses=depth)
-            if self.ghrp is not None:
-                obs.inc("frontend.history_recoveries")
-                obs.event("history_recovery", pc=wrong_next_pc)
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(
@@ -168,10 +170,11 @@ class FastFrontEnd(FrontEnd):
         warmup_instructions: int | None = None,
         max_instructions: int | None = None,
     ) -> SimulationResult:
-        """Batched twin of :meth:`FrontEnd.run` (same results, same events)."""
+        """Batched twin of :meth:`FrontEnd.run` (same results, same metrics)."""
         options = resolve_run_options(options, warmup_instructions, max_instructions)
         self._setup_telemetry(options)
         self._reload_kernels()
+        self._fault_arm = None
         rs = _RunState(
             warmup_boundary=options.warmup_instructions,
             instruction_limit=options.max_instructions,
@@ -191,88 +194,30 @@ class FastFrontEnd(FrontEnd):
 
         return run_verified(self, records, rs, options)
 
-    # ------------------------------------------------------------------
-    # Window dispatch: batch when eligible, scalar otherwise
-    # ------------------------------------------------------------------
-    def _batch_supported(self) -> bool:
-        """Whether this window may run on the chunked batch loop.
-
-        Checked per window (fault arming and GHRP history convergence can
-        change between runs).  Wrong-path simulation, indirect prediction,
-        and observability need the per-record scalar loop; an armed fault
-        wrapper must see every scalar ``access`` call.  The GHRP cases
-        guard the cross-structure couplings: a coupled BTB needs the fused
-        record-ordered executor (its probes read live I-cache state), and
-        a standalone BTB sharing its predictor with the I-cache would
-        interleave history updates no per-structure chunking preserves.
-        """
-        if not HAVE_NUMPY:
-            return False
-        if self.wrong_path_depth > 0:
-            return False
-        if self.indirect is not None:
-            return False
-        if self.obs.enabled:
-            return False
-        icache_kernel = self._icache_kernel
-        inner = self._btb_kernel.inner
-        if "access" in icache_kernel.__dict__ or "access" in inner.__dict__:
-            return False  # fault wrapper armed on the scalar path
-        if isinstance(inner, GHRPBTBKernel):
-            if not inner.standalone:
-                if not (
-                    isinstance(icache_kernel, GHRPCacheKernel)
-                    and inner._icache_policy is icache_kernel.policy
-                    and ghrp_batch_ready(icache_kernel.state)
-                    and (
-                        inner.state is icache_kernel.state
-                        or ghrp_batch_ready(inner.state)
-                    )
-                ):
-                    return False
-            elif (
-                isinstance(icache_kernel, GHRPCacheKernel)
-                and icache_kernel.state is inner.state
-            ):
-                return False
-        return True
-
     def _run_window(self, records: Iterable[BranchRecord], rs: _RunState) -> None:
         """Execute one window of ``records``, continuing from ``rs``.
 
-        Dispatches to the chunked batch loop when the configuration
-        allows and the window is worth tokenizing; otherwise runs the
-        per-record scalar loop.  ``records`` may be a raw iterable or an
-        already-tokenized :class:`~repro.kernel.tokenizer.TraceTokens`
-        (which is reused directly when its fetch-stream seed matches the
-        carried ``rs.next_start``).
+        ``records`` may be a raw iterable or an already-tokenized
+        :class:`~repro.kernel.tokenizer.TraceTokens` (which is reused
+        directly when its fetch-stream seed matches the carried
+        ``rs.next_start``); anything else is tokenized here.
         """
-        if self._batch_supported():
-            tokens = None
-            if isinstance(records, TraceTokens):
-                if records.seed_next_start == rs.next_start:
-                    tokens = records
-                else:
-                    records = records.records
-            if tokens is None:
-                if not isinstance(records, list):
-                    records = (
-                        self._pull_window(records, rs)
-                        if rs.instruction_limit is not None
-                        else list(records)
-                    )
-                if len(records) >= _MIN_BATCH_RECORDS:
-                    tokens = tokenize_trace(records, rs.next_start)
-            if tokens is not None and tokens.n > 0:
-                self._run_window_batch(tokens, rs)
-                return
-            if tokens is not None:
-                return  # empty window: nothing to execute or record
-        # The scalar loop does not maintain block maps; invalidate so a
-        # later batch window rebuilds them from the live tags.
-        self._icache_kernel._blockmap = None
-        self._btb_kernel.inner._blockmap = None
-        self._run_window_scalar(records, rs)
+        tokens = None
+        if isinstance(records, TraceTokens):
+            if records.seed_next_start == rs.next_start:
+                tokens = records
+            else:
+                records = records.records
+        if tokens is None:
+            if not isinstance(records, list):
+                records = (
+                    self._pull_window(records, rs)
+                    if rs.instruction_limit is not None
+                    else list(records)
+                )
+            tokens = tokenize_trace(records, rs.next_start)
+        if tokens.n > 0:
+            self._run_window_batch(tokens, rs)
 
     def _pull_window(self, records, rs: _RunState) -> list:
         """Consume exactly the records this limited window will execute.
@@ -283,7 +228,8 @@ class FastFrontEnd(FrontEnd):
         measurement window).  Materializing a lazy stream wholesale would
         strand the remainder, so replay the fetch-stream instruction
         count record-by-record and stop pulling at the limit — like the
-        scalar loop, the record that crosses the limit is still executed.
+        reference engine, the record that crosses the limit is still
+        executed.
         """
         remaining = rs.instruction_limit - rs.instructions_seen
         next_start = -1 if rs.next_start is None else rs.next_start
@@ -304,14 +250,15 @@ class FastFrontEnd(FrontEnd):
         return out
 
     def _run_window_batch(self, tokens: TraceTokens, rs: _RunState) -> None:
-        """Chunked batch twin of :meth:`_run_window_scalar`.
+        """Chunked twin of :meth:`FrontEnd._run_window`.
 
-        Every engine event the scalar loop fires *between* records —
+        Every engine event the reference loop fires *between* records —
         warm-up snapshot, telemetry sample, instruction limit — has a
-        precomputable record index, so the loop executes maximal chunks
-        up to the next event, applies the event exactly as the scalar
-        loop would, and continues.  With no telemetry and no limit the
-        whole window is one chunk per structure.
+        precomputable record index, and so does the record performing an
+        armed fault's access; the loop executes maximal chunks up to the
+        next event, applies the event exactly as the reference loop
+        would, and continues.  With no telemetry, no limit, and no armed
+        fault the whole window is one chunk per structure.
         """
         n = tokens.n
         plan = WindowPlan(
@@ -328,6 +275,7 @@ class FastFrontEnd(FrontEnd):
         rspan = self._ras_window(tokens)
 
         icache, btb = self.icache, self.btb
+        obs = self.obs
         telemetry = self.telemetry
         instr_cum = tokens.instr_cum
         warmup_boundary = rs.warmup_boundary
@@ -342,6 +290,10 @@ class FastFrontEnd(FrontEnd):
             n
             if instruction_limit is None
             else tokens.searchsorted_instructions(instruction_limit - base_i)
+        )
+        arm = self._fault_arm
+        fault_rec = (
+            n if arm is None else arm.begin_window(tokens, icache.geometry.block_size)
         )
 
         executed = n
@@ -360,12 +312,21 @@ class FastFrontEnd(FrontEnd):
                     t_rec = r
                 if t_rec + 1 < hi:
                     hi = t_rec + 1
+            if fault_rec < hi:
+                hi = fault_rec + 1
             ispan(r, hi)
             bspan(r, hi)
             dspan(r, hi)
             rspan(r, hi)
             cur_i = base_i + instr_cum[hi - 1]
             cur_b = base_b + hi
+
+            if hi == fault_rec + 1:
+                # The fault fires after the record performing its access,
+                # before that record's engine events (a "raise" fault
+                # therefore never reaches them).
+                fault_rec = n
+                arm.fire()
 
             if not warmed and cur_i >= warmup_boundary:
                 self._sync_kernels()
@@ -375,8 +336,8 @@ class FastFrontEnd(FrontEnd):
                 rs.btb_warm = btb.stats.snapshot()
                 rs.warmed_at = cur_i
                 warmed = True
-                # Observability is off in batch mode (gated), so the
-                # scalar loop's obs block is a no-op here by construction.
+                if obs.enabled:
+                    self._observe_warmup(rs)
 
             if telemetry is not None and cur_b >= telemetry.next_boundary:
                 telemetry.take_sample(cur_i, cur_b)
@@ -393,6 +354,8 @@ class FastFrontEnd(FrontEnd):
         rs.next_start = (
             tokens.target[last] if tokens.taken[last] else tokens.pc[last] + 4
         )
+        if arm is not None:
+            arm.end_window(last)
         self._end_batch_window()
 
     def _direction_window(self, tokens: TraceTokens):
@@ -443,11 +406,11 @@ class FastFrontEnd(FrontEnd):
     def _end_batch_window(self) -> None:
         """Flush and unbind all window executors.
 
-        Window closures buffer delta counters; rebinding (next window) or
-        running a scalar window would strand them, so the batch loop
-        flushes and clears every binding before returning.  Flushes are
-        also triggered by ``sync`` at barriers; both paths zero the
-        buffers, so the combination never double-counts.
+        Window closures buffer delta counters; rebinding (next window)
+        would strand them, so the batch loop flushes and clears every
+        binding before returning.  Flushes are also triggered by ``sync``
+        at barriers; both paths zero the buffers, so the combination
+        never double-counts.
         """
         icache_kernel = self._icache_kernel
         btb_kernel = self._btb_kernel
@@ -464,135 +427,6 @@ class FastFrontEnd(FrontEnd):
                 flush()
             direction_kernel._window_span = None
             direction_kernel._window_flush = None
-
-    # ------------------------------------------------------------------
-    # Scalar loop
-    # ------------------------------------------------------------------
-    def _run_window_scalar(
-        self, records: Iterable[BranchRecord], rs: _RunState
-    ) -> None:
-        """Per-record twin of :meth:`FrontEnd._run_window`.
-
-        The flat per-record loop with the fetch-stream reconstruction
-        inlined; loop state is loaded from and stored back to ``rs`` so
-        the sentinel layer can run the engine window-by-window.
-        """
-        warmup_boundary = rs.warmup_boundary
-        instruction_limit = rs.instruction_limit
-
-        icache, btb, direction, ras = self.icache, self.btb, self.direction, self.ras
-        indirect = self.indirect
-        obs = self.obs
-        obs_enabled = obs.enabled
-        telemetry = self.telemetry
-
-        block_size = icache.geometry.block_size
-        block_mask = ~(block_size - 1)
-        simulate_wrong_path = self.wrong_path_depth > 0
-        max_gap = _MAX_SEQUENTIAL_GAP
-
-        # Bound everything the per-record loop touches.
-        icache_access = self._icache_kernel.access
-        btb_access = self._btb_kernel.access
-        direction_kernel = self._direction_kernel
-        predict_and_update = (
-            direction_kernel.predict_and_update
-            if direction_kernel is not None
-            else direction.predict_and_update
-        )
-        ras_push = ras.push
-        ras_pop_and_check = ras.pop_and_check
-        conditional = BranchType.CONDITIONAL
-        call = BranchType.CALL
-        indirect_call = BranchType.INDIRECT_CALL
-        returns = BranchType.RETURN
-
-        instructions_seen = rs.instructions_seen
-        branches_seen = rs.branches_seen
-        # -1 mirrors FetchBlockStream's None "no previous branch" sentinel.
-        next_start = -1 if rs.next_start is None else rs.next_start
-        warmed = rs.icache_warm is not None
-
-        for record in records:
-            pc = record.pc
-            # --- FetchBlockStream.__next__, inlined ---------------------
-            start = next_start
-            gap = pc - start
-            if start < 0 or gap < 0 or gap > max_gap or gap & 3:
-                start = pc
-                gap = 0
-            instructions_seen += (gap >> 2) + 1
-            branches_seen += 1
-            taken = record.taken
-            target = record.target
-            next_start = target if taken else pc + 4
-
-            # --- one access per touched cache block ---------------------
-            block = start & block_mask
-            last_block = pc & block_mask
-            while True:
-                icache_access(block, start if start > block else block)
-                if block >= last_block:
-                    break
-                block += block_size
-
-            # --- branch handling ----------------------------------------
-            branch_type = record.branch_type
-            mispredicted = False
-            if branch_type is conditional:
-                mispredicted = predict_and_update(pc, taken) != taken
-            elif branch_type is call or branch_type is indirect_call:
-                ras_push(pc + 4)
-            elif branch_type is returns:
-                mispredicted = not ras_pop_and_check(target)
-
-            if indirect is not None:
-                if branch_type.is_indirect:
-                    if not indirect.predict_and_update(pc, target):
-                        mispredicted = True
-                indirect.note_branch(pc, taken)
-
-            if taken and branch_type is not returns:
-                if btb_access(pc, target):
-                    mispredicted = True
-
-            if mispredicted and simulate_wrong_path:
-                self._simulate_wrong_path(pc + 4 if taken else target)
-
-            # --- warm-up boundary / instruction budget ------------------
-            if not warmed and instructions_seen >= warmup_boundary:
-                self._sync_kernels()
-                icache.stats.instructions = instructions_seen
-                btb.stats.instructions = instructions_seen
-                rs.icache_warm = icache.stats.snapshot()
-                rs.btb_warm = btb.stats.snapshot()
-                rs.warmed_at = instructions_seen
-                warmed = True
-                if obs_enabled:
-                    obs.finish_span(rs.phase_span)
-                    rs.phase_span = obs.start_span("measured")
-                    obs.set_gauge("sim.warmup_instructions", rs.warmed_at)
-                    obs.event(
-                        "warmup_complete",
-                        instructions=rs.warmed_at,
-                        icache_misses=rs.icache_warm.misses,
-                        btb_misses=rs.btb_warm.misses,
-                    )
-                    self._emit_table_saturation(phase="warmup")
-
-            # Interval boundary: same branch-count test as the reference
-            # engine, so samples land on identical records.  take_sample
-            # syncs the kernels (idempotent) before reading statistics.
-            if telemetry is not None and branches_seen >= telemetry.next_boundary:
-                telemetry.take_sample(instructions_seen, branches_seen)
-
-            if instruction_limit is not None and instructions_seen >= instruction_limit:
-                rs.done = True
-                break
-
-        rs.instructions_seen = instructions_seen
-        rs.branches_seen = branches_seen
-        rs.next_start = None if next_start < 0 else next_start
 
     def _before_stats_collect(self) -> None:
         self._sync_kernels()

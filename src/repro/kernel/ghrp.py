@@ -9,9 +9,10 @@ and BTB share one :class:`~repro.core.ghrp.GHRPPredictor` (the paper's
 Section III-E design), both kernels share one state instance via
 :meth:`repro.kernel.base.KernelContext.ghrp_state`.
 
-Batch execution exploits a dataflow fact: with wrong-path simulation off
-(the only mode the batch engine accepts), the speculative and retired
-path-history registers advance identically, so the whole history *chain*
+Execution exploits a dataflow fact: with wrong-path simulation off (the
+build-time gate sends wrong-path runs to the reference engine), the
+speculative and retired path-history registers advance identically —
+``spec == retired`` is an invariant here — so the whole history *chain*
 — the register value before every access — is a pure function of the
 access PC sequence and the window's seed value.  The chain, every access
 signature, and every signature's skewed table indices are therefore
@@ -27,24 +28,16 @@ from __future__ import annotations
 from repro.cache.set_assoc import _INVALID_TAG
 from repro.core.ghrp import GHRPPredictor
 from repro.core.tables import Aggregation
-from repro.kernel.base import (
-    BYPASS,
-    FILL,
-    HIT,
-    CacheKernel,
-    KernelContext,
-    WindowPlan,
-    batch_kernel,
-)
+from repro.kernel.base import CacheKernel, KernelContext, WindowPlan, batch_kernel
 from repro.kernel.tokenizer import HAVE_NUMPY
 from repro.policies.ghrp_policy import GHRPBTBPolicy, GHRPPolicy
 from repro.util.bits import mask
-from repro.util.hashing import full_space_table, skewed_index_columns
+from repro.util.hashing import skewed_index_columns
 
 if HAVE_NUMPY:
     import numpy as _np
 
-__all__ = ["GHRPKernelState", "GHRPCacheKernel", "GHRPBTBKernel", "ghrp_batch_ready"]
+__all__ = ["GHRPKernelState", "GHRPCacheKernel", "GHRPBTBKernel"]
 
 
 def history_chain(values, shift: int, history_bits: int, seed: int, count: int):
@@ -77,30 +70,29 @@ def history_chain(values, shift: int, history_bits: int, seed: int, count: int):
     return out
 
 
-def ghrp_batch_ready(state: "GHRPKernelState") -> bool:
-    """Whether the specialized batch executors can replay this predictor.
+def _shape_reason(predictor: GHRPPredictor) -> str | None:
+    """Why the executors cannot replay ``predictor``'s shape (None = they can).
 
-    The precomputed chains assume 3-table majority voting (the paper's
-    configuration) and a history register that fits uint64 arithmetic,
-    starting from converged speculative/retired registers (always true
-    after a clean run or reset when wrong-path simulation is off).
-    Anything else falls back to the generic scalar-loop executor.
+    The precomputed chains and unrolled votes assume 3-table majority
+    voting (the paper's configuration) and a history register that fits
+    uint64 arithmetic.
     """
-    return (
-        HAVE_NUMPY
-        and state.majority
-        and state.num_tables == 3
-        and state.history_mask.bit_length() <= 64
-        and state.spec == state.retired
-    )
+    bank = predictor.tables
+    if bank.aggregation is not Aggregation.MAJORITY:
+        return "sum aggregation (the executors replay majority votes)"
+    if bank.num_tables != 3:
+        return f"{bank.num_tables} prediction tables (the executors unroll 3)"
+    history_bits = predictor.config.history_bits
+    if history_bits > 64:
+        return f"a {history_bits}-bit history (the chains use uint64 arithmetic)"
+    return None
 
 
 class GHRPKernelState:
     """Scalar GHRP state held by kernels during a fast run.
 
-    ``tables`` aliases the bank's counter rows; ``lookup`` is the
-    process-wide full-space signature→indices table (derived from the
-    bank's shape, so a pickled state carries only its key).
+    ``tables`` aliases the bank's counter rows; signature→indices columns
+    come from the process-wide memo (:meth:`signature_columns`).
     ``spec``/``retired`` mirror the path-history registers and are written
     back by :meth:`sync`.
     """
@@ -108,12 +100,8 @@ class GHRPKernelState:
     __slots__ = (
         "predictor",
         "tables",
-        "lookup",
         "num_tables",
         "index_bits",
-        "majority",
-        "majority_cut",
-        "sum_threshold",
         "counter_max",
         "history_shift",
         "history_mask",
@@ -136,14 +124,8 @@ class GHRPKernelState:
         bank = predictor.tables
         self.predictor = predictor
         self.tables = list(bank._tables)  # outer copy, inner rows aliased
-        self.lookup = full_space_table(
-            bank.num_tables, bank.index_bits, config.signature_bits
-        )
         self.num_tables = bank.num_tables
         self.index_bits = bank.index_bits
-        self.majority = bank.aggregation is Aggregation.MAJORITY
-        self.majority_cut = bank.num_tables // 2
-        self.sum_threshold = bank.sum_threshold
         self.counter_max = bank.counter_max
         self.history_shift = config.history_shift
         self.history_mask = mask(config.history_bits)
@@ -183,55 +165,6 @@ class GHRPKernelState:
             self.num_tables, self.index_bits, self.sig_mask.bit_length()
         )
 
-    # ------------------------------------------------------------------
-    # Flattened predictor operations (PredictionTableBank/PathHistory twins)
-    # ------------------------------------------------------------------
-    def predict(self, signature: int, threshold: int) -> bool:
-        """``tables.predict(...).is_dead`` without the Vote allocation."""
-        self.d_predictions += 1
-        # Direct lookup: the table covers the whole signature space.
-        idx = self.lookup[signature]
-        if self.majority:
-            votes = 0
-            for row, index in zip(self.tables, idx, strict=True):
-                if row[index] >= threshold:
-                    votes += 1
-            return votes > self.majority_cut
-        total = 0
-        for row, index in zip(self.tables, idx, strict=True):
-            total += row[index]
-        return total >= self.sum_threshold
-
-    def train(self, signature: int, is_dead: bool) -> None:
-        idx = self.lookup[signature]
-        if is_dead:
-            counter_max = self.counter_max
-            for row, index in zip(self.tables, idx, strict=True):
-                value = row[index]
-                if value < counter_max:
-                    row[index] = value + 1
-            self.d_increments += 1
-        else:
-            for row, index in zip(self.tables, idx, strict=True):
-                value = row[index]
-                if value > 0:
-                    row[index] = value - 1
-            self.d_decrements += 1
-
-    def note_access(self, pc: int, speculative: bool) -> None:
-        bits = ((pc >> self.pc_shift) & self.pc_mask) << 1
-        shift = self.history_shift
-        history_mask = self.history_mask
-        self.spec = ((self.spec << shift) | bits) & history_mask
-        if not speculative:
-            self.retired = ((self.retired << shift) | bits) & history_mask
-
-    def signature(self, pc: int) -> int:
-        return (self.spec ^ (pc >> self.pc_shift)) & self.sig_mask
-
-    def recover(self) -> None:
-        self.spec = self.retired
-
     def pc_chain(self, pcs):
         """History chain over the uint64 operands derived from ``pcs``."""
         np = _np
@@ -245,6 +178,16 @@ class GHRPKernelState:
             len(bits),
         )
         return pcsh, chain
+
+    def commit(self, history: int) -> None:
+        """Land a window's path history, truncated to the register width.
+
+        ``spec == retired`` on the kernels: no wrong-path fetch runs on
+        them, so both registers always hold the same value.
+        """
+        history &= self.history_mask
+        self.spec = history
+        self.retired = history
 
     # ------------------------------------------------------------------
     # Synchronization with the reference objects
@@ -280,11 +223,16 @@ class GHRPCacheKernel(CacheKernel):
         self._last_use = policy._last_use
         self._clock = policy._clock
         self._enable_bypass = policy.enable_bypass
-        self._train_on_wrong_path = policy.train_on_wrong_path
 
     @classmethod
     def build(cls, cache, policy, context: KernelContext):
         return cls(cache, policy, context.ghrp_state(policy.predictor))
+
+    @classmethod
+    def unsupported_reason(cls, policy, structure: str) -> str | None:
+        if structure != "icache":
+            return "the GHRP I-cache kernel has no BTB executor"
+        return _shape_reason(policy.predictor)
 
     def state_digest(self) -> dict:
         return {
@@ -295,135 +243,6 @@ class GHRPCacheKernel(CacheKernel):
             "clock": self._clock,
             "predictor": self.state.digest(),
         }
-
-    def reload(self) -> None:
-        super().reload()
-        self.wrong_path = self.policy.wrong_path
-
-    def access(self, block: int, pc: int) -> int:
-        state = self.state
-        set_index = (block >> self._offset_bits) & self._index_mask
-        tag = block >> self._tag_shift
-        row = self._tags[set_index]
-        wrong_path = self.wrong_path
-        may_train = self._train_on_wrong_path or not wrong_path
-        try:
-            way = row.index(tag)
-        except ValueError:
-            way = -1
-        if way >= 0:
-            # Reuse (lines 21-28): train live, refresh signature/prediction.
-            signature_row = self._signatures[set_index]
-            old_signature = signature_row[way]
-            if old_signature is not None and may_train:
-                state.train(old_signature, False)
-            new_signature = (state.spec ^ (pc >> state.pc_shift)) & state.sig_mask
-            signature_row[way] = new_signature
-            self._pred_dead[set_index][way] = state.predict(
-                new_signature, state.dead_threshold
-            )
-            clock = self._clock
-            tick = clock[set_index] + 1
-            clock[set_index] = tick
-            self._last_use[set_index][way] = tick
-            state.note_access(pc, wrong_path)
-            self._d_hits += 1
-            self.set_index = set_index
-            self.way = way
-            if self._obs_on:
-                self.obs.inc(self._m_hits)
-            return HIT
-
-        # Miss: bypass vote first (line 13), with the higher threshold.
-        if self._enable_bypass:
-            signature = (state.spec ^ (pc >> state.pc_shift)) & state.sig_mask
-            if state.predict(signature, state.bypass_threshold):
-                state.note_access(pc, wrong_path)
-                self._d_misses += 1
-                self._d_bypasses += 1
-                self.set_index = set_index
-                self.way = None
-                if self._obs_on:
-                    self.obs.inc(self._m_misses)
-                    self.obs.inc(self._m_bypasses)
-                    self.obs.event(
-                        "bypass",
-                        structure=self.scope,
-                        set=set_index,
-                        address=block,
-                        pc=pc,
-                    )
-                return BYPASS
-
-        # Placement: first invalid way, else predicted-dead way, else LRU.
-        try:
-            way = row.index(_INVALID_TAG)
-        except ValueError:
-            dead_bits = self._pred_dead[set_index]
-            try:
-                way = dead_bits.index(True)
-            except ValueError:
-                recency = self._last_use[set_index]
-                way = recency.index(min(recency))
-            predicted_dead = dead_bits[way]
-            self._d_evictions += 1
-            if predicted_dead:
-                self._d_dead_evictions += 1
-            if self._obs_on:
-                self._emit_eviction(set_index, way, row, block, pc, predicted_dead)
-            # Eviction proves the victim dead (on_evict).
-            signature_row = self._signatures[set_index]
-            old_signature = signature_row[way]
-            if old_signature is not None and may_train:
-                state.train(old_signature, True)
-            signature_row[way] = None
-            dead_bits[way] = False
-        row[way] = tag
-        # Fill (lines 18-20): store the signature and its prediction.
-        signature = (state.spec ^ (pc >> state.pc_shift)) & state.sig_mask
-        self._signatures[set_index][way] = signature
-        self._pred_dead[set_index][way] = state.predict(signature, state.dead_threshold)
-        clock = self._clock
-        tick = clock[set_index] + 1
-        clock[set_index] = tick
-        self._last_use[set_index][way] = tick
-        state.note_access(pc, wrong_path)
-        self._d_misses += 1
-        self.set_index = set_index
-        self.way = way
-        if self._obs_on:
-            self.obs.inc(self._m_misses)
-        return FILL
-
-    def _emit_eviction(
-        self,
-        set_index: int,
-        way: int,
-        row: list[int],
-        block: int,
-        pc: int,
-        predicted_dead: bool,
-    ) -> None:
-        """Reference ``_emit_eviction`` + GHRP ``victim_telemetry`` payload."""
-        obs = self.obs
-        obs.inc(self._m_evictions)
-        if predicted_dead:
-            obs.inc(self._m_dead_evictions)
-        recency = self._last_use[set_index]
-        obs.event(
-            "eviction",
-            structure=self.scope,
-            set=set_index,
-            way=way,
-            victim_address=self._victim_address(row, set_index, way),
-            predicted_dead=predicted_dead,
-            incoming_address=block,
-            pc=pc,
-            cause="demand",
-            signature=self._signatures[set_index][way],
-            predicted_dead_vote=self._pred_dead[set_index][way],
-            lru_position=sum(1 for value in recency if value > recency[way]),
-        )
 
     # ------------------------------------------------------------------
     # Batch executors
@@ -457,18 +276,10 @@ class GHRPCacheKernel(CacheKernel):
         return tokens.view(key, build)
 
     def _make_window(self, plan: WindowPlan):
-        state = self.state
-        if not ghrp_batch_ready(state):
-            return None
         wrapper = plan.btb_kernel
         inner = wrapper.inner if wrapper is not None else None
-        if (
-            isinstance(inner, GHRPBTBKernel)
-            and not inner.standalone
-            and inner._icache_policy is self.policy
-        ):
-            if not ghrp_batch_ready(inner.state) and inner.state is not state:
-                return None
+        if isinstance(inner, GHRPBTBKernel) and not inner.standalone:
+            # The gate guarantees a coupled BTB is coupled to this policy.
             return self._make_fused_window(plan, wrapper, inner)
         return self._make_icache_window(plan)
 
@@ -497,23 +308,20 @@ class GHRPCacheKernel(CacheKernel):
         dead_thr = state.dead_threshold
         bypass_thr = state.bypass_threshold
         counter_max = state.counter_max
+        # Stored signatures are truncated to their Table I width at the
+        # store, which is where the flow-table1-width proof reads them.
+        sig_mask = state.sig_mask
         enable_bypass = self._enable_bypass
         cursor = 0
         d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
         d_pred = d_inc = d_dec = 0
-        last_set = -1
-        last_way: int | None = 0
 
         def span(lo: int, hi: int) -> None:
             nonlocal cursor, d_hits, d_misses, d_bypasses, d_evictions, d_dead
-            nonlocal d_pred, d_inc, d_dec, last_set, last_way
+            nonlocal d_pred, d_inc, d_dec
             end = acc_end[hi - 1] if hi > 0 else 0
             i = cursor
-            if i >= end:
-                return
             bmget = bm.get
-            set_index = 0
-            wayv: int | None = 0
             while i < end:
                 block = blocks[i]
                 set_index = sets[i]
@@ -535,7 +343,7 @@ class GHRPCacheKernel(CacheKernel):
                         if v > 0:
                             r2[a] = v - 1
                         d_dec += 1
-                    sigrow[wayv] = sig_l[i]
+                    sigrow[wayv] = sig_l[i] & sig_mask
                     d_pred += 1
                     dead[set_index][wayv] = (
                         (r0[i0a[i]] >= dead_thr)
@@ -560,7 +368,6 @@ class GHRPCacheKernel(CacheKernel):
                     ) > 1:
                         d_misses += 1
                         d_bypasses += 1
-                        wayv = None
                         i += 1
                         continue
                 row = rows[set_index]
@@ -597,7 +404,7 @@ class GHRPCacheKernel(CacheKernel):
                     del bm[(row[wayv] << tag_shift) | (set_index << offset_bits)]
                 row[wayv] = atags[i]
                 bm[block] = wayv
-                sigs[set_index][wayv] = sig_l[i]
+                sigs[set_index][wayv] = sig_l[i] & sig_mask
                 d_pred += 1
                 dead[set_index][wayv] = (
                     (r0[a0] >= dead_thr)
@@ -610,8 +417,6 @@ class GHRPCacheKernel(CacheKernel):
                 d_misses += 1
                 i += 1
             cursor = i
-            last_set = set_index
-            last_way = wayv
 
         def flush() -> None:
             nonlocal d_hits, d_misses, d_bypasses, d_evictions, d_dead
@@ -626,12 +431,7 @@ class GHRPCacheKernel(CacheKernel):
             state.d_decrements += d_dec
             d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
             d_pred = d_inc = d_dec = 0
-            spec = spec_l[cursor]
-            state.spec = spec
-            state.retired = spec
-            if last_set >= 0:
-                self.set_index = last_set
-                self.way = last_way
+            state.commit(spec_l[cursor])
 
         return span, flush
 
@@ -673,6 +473,9 @@ class GHRPCacheKernel(CacheKernel):
         dead_thr = state.dead_threshold
         bypass_thr = state.bypass_threshold
         counter_max = state.counter_max
+        # Stored signatures are truncated to their Table I width at the
+        # store, which is where the flow-table1-width proof reads them.
+        sig_mask = state.sig_mask
         enable_bypass = self._enable_bypass
 
         # --- BTB side ----------------------------------------------------
@@ -700,7 +503,7 @@ class GHRPCacheKernel(CacheKernel):
         bdt = state2.btb_dead_threshold
         bbp = state2.btb_bypass_threshold
         enable_bypass2 = inner._enable_bypass
-        sig_mask = state2.sig_mask
+        bsig_mask = state2.sig_mask
         # Probe locations in the I-cache for each BTB access.
         bpc_np = np.asarray(tokens.bpc, dtype=np.int64)
         pblk = (bpc_np & ~(block_size - 1)).tolist()
@@ -712,7 +515,7 @@ class GHRPCacheKernel(CacheKernel):
             # function of the branch PC.
             dyn_l = (
                 (np.uint64(state2.spec) ^ (bpc_np >> state2.pc_shift).astype(np.uint64))
-                & np.uint64(sig_mask)
+                & np.uint64(bsig_mask)
             ).astype(np.int64).tolist()
         else:
             dyn_l = None
@@ -725,17 +528,13 @@ class GHRPCacheKernel(CacheKernel):
         b_hits = b_misses = b_bypasses = b_evictions = b_dead = 0
         b_pred = 0
         d_tm = 0
-        last_set = -1
-        last_way: int | None = 0
-        blast_set = -1
-        blast_way: int | None = 0
 
         def span(lo: int, hi: int) -> None:
             nonlocal rcur, acur, bcur
             nonlocal d_hits, d_misses, d_bypasses, d_evictions, d_dead
             nonlocal d_pred, d_inc, d_dec
             nonlocal b_hits, b_misses, b_bypasses, b_evictions, b_dead, b_pred
-            nonlocal d_tm, last_set, last_way, blast_set, blast_way
+            nonlocal d_tm
             r = rcur
             i = acur
             j = bcur
@@ -743,8 +542,6 @@ class GHRPCacheKernel(CacheKernel):
                 return
             bmget = bm.get
             bm2get = bm2.get
-            set_index = last_set
-            wayv = last_way
             while r < hi:
                 ae = acc_end_l[r]
                 while i < ae:
@@ -768,7 +565,7 @@ class GHRPCacheKernel(CacheKernel):
                             if v > 0:
                                 r2[a] = v - 1
                             d_dec += 1
-                        sigrow[wayv] = sig_l[i]
+                        sigrow[wayv] = sig_l[i] & sig_mask
                         d_pred += 1
                         dead[set_index][wayv] = (
                             (r0[i0a[i]] >= dead_thr)
@@ -793,7 +590,6 @@ class GHRPCacheKernel(CacheKernel):
                         ) > 1:
                             d_misses += 1
                             d_bypasses += 1
-                            wayv = None
                             i += 1
                             continue
                     row = rows[set_index]
@@ -830,7 +626,7 @@ class GHRPCacheKernel(CacheKernel):
                         del bm[(row[wayv] << tag_shift) | (set_index << offset_bits)]
                     row[wayv] = atags[i]
                     bm[block] = wayv
-                    sigs[set_index][wayv] = sig_l[i]
+                    sigs[set_index][wayv] = sig_l[i] & sig_mask
                     d_pred += 1
                     dead[set_index][wayv] = (
                         (r0[a0] >= dead_thr)
@@ -853,7 +649,7 @@ class GHRPCacheKernel(CacheKernel):
                         sig = sigs[pset[j]][iway]
                     if sig is None:
                         if shared:
-                            sig = (spec_l[i] ^ bpcsh[j]) & sig_mask
+                            sig = (spec_l[i] ^ bpcsh[j]) & bsig_mask
                         else:
                             sig = dyn_l[j]
                     c0 = lb0[sig]
@@ -873,8 +669,6 @@ class GHRPCacheKernel(CacheKernel):
                         if trow[way2] != tgt:
                             d_tm += 1
                             trow[way2] = tgt
-                        blast_set = bset
-                        blast_way = way2
                     else:
                         bypassed = False
                         if enable_bypass2:
@@ -885,8 +679,6 @@ class GHRPCacheKernel(CacheKernel):
                                 b_misses += 1
                                 b_bypasses += 1
                                 bypassed = True
-                                blast_set = bset
-                                blast_way = None
                         if not bypassed:
                             row2 = rows2[bset]
                             try:
@@ -919,15 +711,11 @@ class GHRPCacheKernel(CacheKernel):
                             lu2[bset][way2] = tick
                             b_misses += 1
                             targets[bset][way2] = tgt
-                            blast_set = bset
-                            blast_way = way2
                     j += 1
                 r += 1
             rcur = r
             acur = i
             bcur = j
-            last_set = set_index
-            last_way = wayv
 
         def flush() -> None:
             nonlocal d_hits, d_misses, d_bypasses, d_evictions, d_dead
@@ -954,15 +742,7 @@ class GHRPCacheKernel(CacheKernel):
             b_hits = b_misses = b_bypasses = b_evictions = b_dead = 0
             b_pred = 0
             d_tm = 0
-            spec = spec_l[acur]
-            state.spec = spec
-            state.retired = spec
-            if last_set >= 0:
-                self.set_index = last_set
-                self.way = last_way
-            if blast_set >= 0:
-                inner.set_index = blast_set
-                inner.way = blast_way
+            state.commit(spec_l[acur])
 
         inner._fused_window = True
         return span, flush
@@ -992,19 +772,16 @@ class GHRPBTBKernel(CacheKernel):
         # Set for one window when the I-cache kernel builds the fused
         # coupled executor (which then runs this kernel's accesses too).
         self._fused_window = False
-        icache_policy = policy.icache_policy
-        self._icache_policy = icache_policy
-        if icache_policy is not None:
-            icache = icache_policy.attached_cache
-            self._i_tags = icache._tags
-            self._i_signatures = icache_policy._signatures
-            self._i_offset_bits = icache._offset_bits
-            self._i_index_mask = icache._index_mask
-            self._i_tag_shift = icache._tag_shift
 
     @classmethod
     def build(cls, cache, policy, context: KernelContext):
         return cls(cache, policy, context.ghrp_state(policy.predictor))
+
+    @classmethod
+    def unsupported_reason(cls, policy, structure: str) -> str | None:
+        if structure != "btb":
+            return "the GHRP BTB kernel has no I-cache executor"
+        return _shape_reason(policy.predictor)
 
     def state_digest(self) -> dict:
         return {
@@ -1016,154 +793,6 @@ class GHRPBTBKernel(CacheKernel):
             "clock": self._clock,
             "predictor": self.state.digest(),
         }
-
-    def _signature_for(self, pc: int) -> int:
-        """Reference ``GHRPBTBPolicy._signature_for`` on aliased state."""
-        state = self.state
-        if self._icache_policy is not None:
-            set_index = (pc >> self._i_offset_bits) & self._i_index_mask
-            tag = pc >> self._i_tag_shift
-            row = self._i_tags[set_index]
-            try:
-                way = row.index(tag)
-            except ValueError:
-                way = -1
-            if way >= 0:
-                stored = self._i_signatures[set_index][way]
-                if stored is not None:
-                    return stored
-        return (state.spec ^ (pc >> state.pc_shift)) & state.sig_mask
-
-    def access(self, block: int, pc: int) -> int:
-        state = self.state
-        set_index = (block >> self._offset_bits) & self._index_mask
-        tag = block >> self._tag_shift
-        row = self._tags[set_index]
-        standalone = self.standalone
-        try:
-            way = row.index(tag)
-        except ValueError:
-            way = -1
-        if way >= 0:
-            if standalone:
-                signature_row = self._signatures[set_index]
-                old_signature = signature_row[way]
-                if old_signature is not None:
-                    state.train(old_signature, False)
-                # Stored signature uses the pre-update history; the dead
-                # vote below sees the post-update history (reference order).
-                signature_row[way] = (
-                    state.spec ^ (pc >> state.pc_shift)
-                ) & state.sig_mask
-                state.note_access(pc, False)
-            self._pred_dead[set_index][way] = state.predict(
-                self._signature_for(pc), state.btb_dead_threshold
-            )
-            clock = self._clock
-            tick = clock[set_index] + 1
-            clock[set_index] = tick
-            self._last_use[set_index][way] = tick
-            self._d_hits += 1
-            self.set_index = set_index
-            self.way = way
-            if self._obs_on:
-                self.obs.inc(self._m_hits)
-            return HIT
-
-        if self._enable_bypass:
-            if state.predict(self._signature_for(pc), state.btb_bypass_threshold):
-                if standalone:
-                    state.note_access(pc, False)
-                self._d_misses += 1
-                self._d_bypasses += 1
-                self.set_index = set_index
-                self.way = None
-                if self._obs_on:
-                    self.obs.inc(self._m_misses)
-                    self.obs.inc(self._m_bypasses)
-                    self.obs.event(
-                        "bypass",
-                        structure=self.scope,
-                        set=set_index,
-                        address=block,
-                        pc=pc,
-                    )
-                return BYPASS
-
-        try:
-            way = row.index(_INVALID_TAG)
-        except ValueError:
-            dead_bits = self._pred_dead[set_index]
-            try:
-                way = dead_bits.index(True)
-            except ValueError:
-                recency = self._last_use[set_index]
-                way = recency.index(min(recency))
-            predicted_dead = dead_bits[way]
-            self._d_evictions += 1
-            if predicted_dead:
-                self._d_dead_evictions += 1
-            if self._obs_on:
-                self._emit_eviction(set_index, way, row, block, pc, predicted_dead)
-            if standalone:
-                signature_row = self._signatures[set_index]
-                old_signature = signature_row[way]
-                if old_signature is not None:
-                    state.train(old_signature, True)
-                signature_row[way] = None
-            dead_bits[way] = False
-        row[way] = tag
-        if standalone:
-            self._signatures[set_index][way] = (
-                state.spec ^ (pc >> state.pc_shift)
-            ) & state.sig_mask
-            state.note_access(pc, False)
-        self._pred_dead[set_index][way] = state.predict(
-            self._signature_for(pc), state.btb_dead_threshold
-        )
-        clock = self._clock
-        tick = clock[set_index] + 1
-        clock[set_index] = tick
-        self._last_use[set_index][way] = tick
-        self._d_misses += 1
-        self.set_index = set_index
-        self.way = way
-        if self._obs_on:
-            self.obs.inc(self._m_misses)
-        return FILL
-
-    def _emit_eviction(
-        self,
-        set_index: int,
-        way: int,
-        row: list[int],
-        block: int,
-        pc: int,
-        predicted_dead: bool,
-    ) -> None:
-        obs = self.obs
-        obs.inc(self._m_evictions)
-        if predicted_dead:
-            obs.inc(self._m_dead_evictions)
-        recency = self._last_use[set_index]
-        telemetry = {
-            "predicted_dead_vote": self._pred_dead[set_index][way],
-            "lru_position": sum(1 for value in recency if value > recency[way]),
-        }
-        if self.standalone:
-            telemetry["signature"] = self._signatures[set_index][way]
-        obs.event(
-            "eviction",
-            structure=self.scope,
-            set=set_index,
-            way=way,
-            victim_address=self._victim_address(row, set_index, way),
-            predicted_dead=predicted_dead,
-            incoming_address=block,
-            pc=pc,
-            cause="demand",
-            **telemetry,
-        )
 
     # ------------------------------------------------------------------
     # Batch executors
@@ -1178,11 +807,10 @@ class GHRPBTBKernel(CacheKernel):
                 return None
 
             return noop_span, None
-        if not self.standalone or self._icache_policy is not None:
-            return None
-        state = self.state
-        if not ghrp_batch_ready(state):
-            return None
+        if not self.standalone:
+            raise RuntimeError(
+                "coupled GHRP BTB kernel bound without its fused I-cache executor"
+            )
         return self._make_standalone_window(plan, wrapper)
 
     def _make_standalone_window(self, plan: WindowPlan, wrapper):
@@ -1242,19 +870,13 @@ class GHRPBTBKernel(CacheKernel):
         d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
         d_pred = d_inc = d_dec = 0
         d_tm = 0
-        last_set = -1
-        last_way: int | None = 0
 
         def span(lo: int, hi: int) -> None:
             nonlocal cursor, d_hits, d_misses, d_bypasses, d_evictions, d_dead
-            nonlocal d_pred, d_inc, d_dec, d_tm, last_set, last_way
+            nonlocal d_pred, d_inc, d_dec, d_tm
             end = btb_end[hi - 1] if hi > 0 else 0
             j = cursor
-            if j >= end:
-                return
             bmget = bm.get
-            set_index = last_set
-            wayv = last_way
             while j < end:
                 block = bblocks[j]
                 set_index = bsets[j]
@@ -1305,7 +927,6 @@ class GHRPBTBKernel(CacheKernel):
                     ) > 1:
                         d_misses += 1
                         d_bypasses += 1
-                        wayv = None
                         j += 1
                         continue
                 row = rows[set_index]
@@ -1357,8 +978,6 @@ class GHRPBTBKernel(CacheKernel):
                 targets[set_index][wayv] = tgt
                 j += 1
             cursor = j
-            last_set = set_index
-            last_way = wayv
 
         def flush() -> None:
             nonlocal d_hits, d_misses, d_bypasses, d_evictions, d_dead
@@ -1375,11 +994,6 @@ class GHRPBTBKernel(CacheKernel):
             d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
             d_pred = d_inc = d_dec = 0
             d_tm = 0
-            spec = spec_l[cursor]
-            state.spec = spec
-            state.retired = spec
-            if last_set >= 0:
-                self.set_index = last_set
-                self.way = last_way
+            state.commit(spec_l[cursor])
 
         return span, flush

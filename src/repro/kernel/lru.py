@@ -5,15 +5,15 @@ clock, per-way timestamps, first-minimum victim selection.  Not valid for
 ``MRUPolicy`` (different victim rule), which therefore stays on the
 reference engine.
 
-The batch executors replace the per-access ``row.index(tag)`` probe with
-one block-map dict lookup and keep the statistic counters in closure
-locals, flushed at chunk barriers.
+The executors replace a per-access ``row.index(tag)`` probe with one
+block-map dict lookup and keep the statistic counters in closure locals,
+flushed at chunk barriers.
 """
 
 from __future__ import annotations
 
 from repro.cache.set_assoc import _INVALID_TAG
-from repro.kernel.base import FILL, HIT, CacheKernel, WindowPlan, batch_kernel
+from repro.kernel.base import CacheKernel, WindowPlan, batch_kernel
 from repro.policies.lru import LRUPolicy
 
 __all__ = ["LRUKernel"]
@@ -36,57 +36,6 @@ class LRUKernel(CacheKernel):
             "clock": self._clock,
         }
 
-    def access(self, block: int, pc: int) -> int:
-        set_index = (block >> self._offset_bits) & self._index_mask
-        tag = block >> self._tag_shift
-        row = self._tags[set_index]
-        clock = self._clock
-        try:
-            way = row.index(tag)
-        except ValueError:
-            way = -1
-        if way >= 0:
-            self._d_hits += 1
-            tick = clock[set_index] + 1
-            clock[set_index] = tick
-            self._last_use[set_index][way] = tick
-            self.set_index = set_index
-            self.way = way
-            if self._obs_on:
-                self.obs.inc(self._m_hits)
-            return HIT
-
-        # Miss: fill the first invalid way, else evict the LRU way.
-        try:
-            way = row.index(_INVALID_TAG)
-        except ValueError:
-            recency = self._last_use[set_index]
-            way = recency.index(min(recency))
-            self._d_evictions += 1
-            if self._obs_on:
-                self.obs.inc(self._m_evictions)
-                self.obs.event(
-                    "eviction",
-                    structure=self.scope,
-                    set=set_index,
-                    way=way,
-                    victim_address=self._victim_address(row, set_index, way),
-                    predicted_dead=False,
-                    incoming_address=block,
-                    pc=pc,
-                    cause="demand",
-                )
-        row[way] = tag
-        self._d_misses += 1
-        tick = clock[set_index] + 1
-        clock[set_index] = tick
-        self._last_use[set_index][way] = tick
-        self.set_index = set_index
-        self.way = way
-        if self._obs_on:
-            self.obs.inc(self._m_misses)
-        return FILL
-
     # ------------------------------------------------------------------
     # Batch executors
     # ------------------------------------------------------------------
@@ -107,18 +56,12 @@ class LRUKernel(CacheKernel):
         offset_bits = self._offset_bits
         cursor = 0
         d_hits = d_misses = d_evictions = 0
-        last_set = -1
-        last_way = 0
 
         def span(lo: int, hi: int) -> None:
-            nonlocal cursor, d_hits, d_misses, d_evictions, last_set, last_way
+            nonlocal cursor, d_hits, d_misses, d_evictions
             end = acc_end[hi - 1] if hi > 0 else 0
             i = cursor
-            if i >= end:
-                return
             bmget = bm.get
-            set_index = 0
-            way = 0
             while i < end:
                 block = blocks[i]
                 set_index = sets[i]
@@ -144,8 +87,6 @@ class LRUKernel(CacheKernel):
                 last_use[set_index][way] = tick
                 i += 1
             cursor = end
-            last_set = set_index
-            last_way = way
 
         def flush() -> None:
             nonlocal d_hits, d_misses, d_evictions
@@ -153,9 +94,6 @@ class LRUKernel(CacheKernel):
             self._d_misses += d_misses
             self._d_evictions += d_evictions
             d_hits = d_misses = d_evictions = 0
-            if last_set >= 0:
-                self.set_index = last_set
-                self.way = last_way
 
         return span, flush
 

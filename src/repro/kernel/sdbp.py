@@ -59,10 +59,15 @@ class SDBPKernel(CacheKernel):
         self._bypass_threshold = config.bypass_sum_threshold
         self._d_increments = 0
         self._d_decrements = 0
+        # Outcome of the most recent access() (the BTB wrapper reads it).
+        self.set_index = 0
+        self.way: int | None = None
 
     def state_digest(self) -> dict:
         return {
             **self._base_digest(),
+            "set_index": self.set_index,
+            "way": self.way,
             "pred_dead": self._pred_dead,
             "last_use": self._last_use,
             "clock": self._clock,
@@ -137,9 +142,15 @@ class SDBPKernel(CacheKernel):
         victim.last_use = now
 
     # ------------------------------------------------------------------
-    # The fused access path
+    # The per-access path (SDBP's BTB executor, looped by BTBKernel)
     # ------------------------------------------------------------------
     def access(self, block: int, pc: int) -> int:
+        """One demand access to the aligned ``block`` driven by ``pc``.
+
+        Returns :data:`HIT`, :data:`FILL`, or :data:`BYPASS` and leaves
+        the touched set/way in ``set_index``/``way`` for the BTB wrapper's
+        target array.
+        """
         set_index = (block >> self._offset_bits) & self._index_mask
         tag = block >> self._tag_shift
         row = self._tags[set_index]
@@ -159,8 +170,6 @@ class SDBPKernel(CacheKernel):
             self._d_hits += 1
             self.set_index = set_index
             self.way = way
-            if self._obs_on:
-                self.obs.inc(self._m_hits)
             return HIT
 
         # Miss: bypass check first; a bypassed access still trains the sampler.
@@ -170,12 +179,6 @@ class SDBPKernel(CacheKernel):
             self._d_bypasses += 1
             self.set_index = set_index
             self.way = None
-            if self._obs_on:
-                self.obs.inc(self._m_misses)
-                self.obs.inc(self._m_bypasses)
-                self.obs.event(
-                    "bypass", structure=self.scope, set=set_index, address=block, pc=pc
-                )
             return BYPASS
 
         try:
@@ -187,26 +190,9 @@ class SDBPKernel(CacheKernel):
             except ValueError:
                 recency = self._last_use[set_index]
                 way = recency.index(min(recency))
-            predicted_dead = dead_bits[way]
             self._d_evictions += 1
-            if predicted_dead:
+            if dead_bits[way]:
                 self._d_dead_evictions += 1
-            if self._obs_on:
-                obs = self.obs
-                obs.inc(self._m_evictions)
-                if predicted_dead:
-                    obs.inc(self._m_dead_evictions)
-                obs.event(
-                    "eviction",
-                    structure=self.scope,
-                    set=set_index,
-                    way=way,
-                    victim_address=self._victim_address(row, set_index, way),
-                    predicted_dead=predicted_dead,
-                    incoming_address=block,
-                    pc=pc,
-                    cause="demand",
-                )
             dead_bits[way] = False
         row[way] = tag
         self._sampler_access(set_index, block, pc)
@@ -220,8 +206,6 @@ class SDBPKernel(CacheKernel):
         self._d_misses += 1
         self.set_index = set_index
         self.way = way
-        if self._obs_on:
-            self.obs.inc(self._m_misses)
         return FILL
 
     def sync(self) -> None:
@@ -241,11 +225,15 @@ class SDBPKernel(CacheKernel):
             self._num_tables, self._index_bits, self._sig_mask.bit_length()
         )
 
+    @classmethod
+    def unsupported_reason(cls, policy, structure: str) -> str | None:
+        num_tables = policy.tables.num_tables
+        if num_tables != 3:
+            # The executor's unrolled vote reads the stock three tables.
+            return f"{num_tables} prediction tables (the executor unrolls 3)"
+        return None
+
     def _make_window(self, plan: WindowPlan):
-        # The unrolled vote below assumes the stock three-table bank; any
-        # other shape falls back to the generic scalar-loop executor.
-        if self._num_tables != 3:
-            return None
         tokens = plan.tokens
         block_size = 1 << self._offset_bits
         blocks, pcs, acc_end = tokens.access_view(block_size)
@@ -277,19 +265,12 @@ class SDBPKernel(CacheKernel):
         sampler_access = self._sampler_access
         cursor = 0
         d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
-        last_set = -1
-        last_way: int | None = 0
 
         def span(lo: int, hi: int) -> None:
             nonlocal cursor, d_hits, d_misses, d_bypasses, d_evictions, d_dead
-            nonlocal last_set, last_way
             end = acc_end[hi - 1] if hi > 0 else 0
             i = cursor
-            if i >= end:
-                return
             bmget = bm.get
-            set_index = 0
-            wayv: int | None = 0
             while i < end:
                 block = blocks[i]
                 set_index = sets[i]
@@ -312,7 +293,6 @@ class SDBPKernel(CacheKernel):
                         sampler_access(set_index, block, pcs[i])
                     d_misses += 1
                     d_bypasses += 1
-                    wayv = None
                     i += 1
                     continue
                 row = rows[set_index]
@@ -343,8 +323,6 @@ class SDBPKernel(CacheKernel):
                 d_misses += 1
                 i += 1
             cursor = i
-            last_set = set_index
-            last_way = wayv
 
         def flush() -> None:
             nonlocal d_hits, d_misses, d_bypasses, d_evictions, d_dead
@@ -354,8 +332,5 @@ class SDBPKernel(CacheKernel):
             self._d_evictions += d_evictions
             self._d_dead_evictions += d_dead
             d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
-            if last_set >= 0:
-                self.set_index = last_set
-                self.way = last_way
 
         return span, flush

@@ -25,8 +25,7 @@ against the reference engine.
 
 Everything here is pure derivation from the record stream: tokenizing
 never touches simulator state, so one :class:`TraceTokens` can be shared
-by any number of runs.  :class:`TokenCache` memoizes tokens per
-``(workload, config)`` digest for sweep-scale reuse.
+by any number of runs.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "HAVE_NUMPY",
     "TOKEN_STREAMS",
     "TraceTokens",
-    "TokenCache",
     "tokenize_trace",
 ]
 
@@ -287,65 +285,3 @@ def tokenize_trace(
     if not isinstance(records, list):
         records = list(records)
     return TraceTokens(records, next_start)
-
-
-class TokenCache:
-    """Token memo keyed by ``(workload, config)`` digest.
-
-    Tokenizing is one vectorized pass but still linear in the trace;
-    sweeps re-run the same workload under many configurations and the
-    bench harness re-runs it across timing rounds.  The cache key folds
-    in both the materialized workload spec (post-jitter, plus seed) and
-    the front-end configuration, so any change to either re-tokenizes.
-
-    A small LRU bound keeps memory proportional to the working set of
-    distinct workloads, not the sweep size.
-    """
-
-    def __init__(self, capacity: int = 4):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: dict[tuple[str, str], TraceTokens] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def digest_key(workload, config) -> tuple[str, str]:
-        """The cache key: (workload digest, config digest)."""
-        import dataclasses
-
-        from repro.sentinel.digest import canonical_fingerprint
-
-        spec = getattr(workload, "spec", workload)
-        if dataclasses.is_dataclass(spec) and not isinstance(spec, type):
-            spec = dataclasses.asdict(spec)
-        workload_digest = canonical_fingerprint(
-            {
-                "name": getattr(workload, "name", None),
-                "seed": getattr(workload, "seed", None),
-                "spec": spec,
-            }
-        )
-        if dataclasses.is_dataclass(config) and not isinstance(config, type):
-            config = dataclasses.asdict(config)
-        return workload_digest, canonical_fingerprint(config)
-
-    def tokens_for(self, workload, config) -> TraceTokens:
-        """Tokens for ``workload`` under ``config``, tokenizing on miss."""
-        key = self.digest_key(workload, config)
-        cached = self._entries.pop(key, None)
-        if cached is not None:
-            self.hits += 1
-            self._entries[key] = cached  # re-insert: most recently used
-            return cached
-        self.misses += 1
-        tokens = tokenize_trace(list(workload.records()))
-        if len(self._entries) >= self.capacity:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-        self._entries[key] = tokens
-        return tokens
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -6,7 +6,7 @@ piece of kernel-aliased state (or raises) at an exact access count —
 deterministic, so a fault captured in a repro bundle re-fires at the same
 access when replayed.
 
-This module is dependency-free (dataclass + a closure) so it can be
+This module is dependency-free (dataclasses and ``bisect``) so it can be
 imported by :mod:`repro.frontend.options` and serialized into bundles
 without dragging the engines in.
 """
@@ -14,6 +14,7 @@ without dragging the engines in.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from dataclasses import dataclass
 
 __all__ = ["KernelFault", "FaultArm", "arm_kernel_fault", "FAULT_KINDS"]
@@ -22,9 +23,10 @@ FAULT_KINDS = ("flip-pred-bit", "zero-recency", "raise")
 """Supported corruptions:
 
 - ``flip-pred-bit``: invert the dead-block prediction bit of the block
-  just touched (GHRP/SDBP kernels) — the canonical silent-divergence bug.
-- ``zero-recency``: clobber the touched block's LRU timestamp (any
-  kernel) — corrupts future victim selection.
+  the faulted access touched (GHRP/SDBP kernels) — the canonical
+  silent-divergence bug.
+- ``zero-recency``: clobber that block's LRU timestamp (any kernel) —
+  corrupts future victim selection.
 - ``raise``: raise :class:`~repro.sentinel.errors.InjectedKernelError` —
   a stand-in for a kernel crash, exercising the failover path.
 """
@@ -36,9 +38,9 @@ _STRUCTURES = ("icache", "btb")
 class KernelFault:
     """One seeded fault: corrupt ``structure``'s kernel at access #N.
 
-    ``access_index`` counts the kernel's block accesses (1-based,
-    wrong-path accesses included), so the trigger point is a pure
-    function of the record stream.
+    ``access_index`` counts the structure's kernel accesses (1-based),
+    so the trigger point is a pure function of the record stream.  The
+    fault fires at the end of the record performing that access.
     """
 
     structure: str = "icache"
@@ -66,28 +68,61 @@ class KernelFault:
 
 
 class FaultArm:
-    """Live handle for an armed fault: exposes the running access count
-    (the sentinel rebases ``access_index`` on it when replaying a window
-    on a shadow engine) and can disarm the wrapper."""
+    """Live handle for an armed fault, driven by the fast engine's batch
+    loop: :meth:`begin_window` names the window record performing kernel
+    access #``access_index``, the loop ends a chunk after that record and
+    calls :meth:`fire`, and :meth:`end_window` advances ``count``.
 
-    __slots__ = ("fault", "kernel", "count", "fired", "_original")
+    ``count`` is the number of accesses the armed structure has executed
+    (the sentinel rebases ``access_index`` on it when replaying a window
+    on a shadow engine).
+    """
+
+    __slots__ = ("fault", "kernel", "count", "fired", "_base", "_ends", "_addresses")
 
     def __init__(self, fault: KernelFault, kernel):
         self.fault = fault
         self.kernel = kernel
         self.count = 0
         self.fired = False
-        self._original = None
+        self._base = 0
+        self._ends: list[int] = []
+        self._addresses: list[int] = []
 
-    def disarm(self) -> None:
-        if self._original is not None:
-            del self.kernel.access
-            self._original = None
+    def begin_window(self, tokens, block_size: int) -> int:
+        """Bind one tokenized window (``block_size`` is the I-cache's);
+        return the index of the record performing the faulted access, or
+        ``tokens.n`` when the fault has fired or falls outside it."""
+        if self.fault.structure == "icache":
+            self._addresses, _pcs, self._ends = tokens.access_view(block_size)
+        else:
+            self._addresses, self._ends = tokens.bpc, tokens.btb_end
+        self._base = self.count
+        ends = self._ends
+        local = self.fault.access_index - self._base
+        if self.fired or local < 1 or not ends or local > ends[-1]:
+            return tokens.n
+        return bisect_left(ends, local)
+
+    def fire(self) -> None:
+        """Corrupt the line the faulted access touched, or raise."""
+        index = self.fault.access_index
+        self.fired = True
+        self.count = index
+        address = self._addresses[index - self._base - 1]
+        _corrupt(self.kernel, self.fault.kind, address, index)
+
+    def end_window(self, last: int) -> None:
+        """Account the window's accesses through record ``last``."""
+        self.count = self._base + self._ends[last]
 
 
-def _corrupt(kernel, kind: str) -> None:
-    set_index = kernel.set_index
-    way = kernel.way if kernel.way is not None else 0
+def _corrupt(kernel, kind: str, address: int, access_index: int) -> None:
+    set_index = (address >> kernel._offset_bits) & kernel._index_mask
+    tag = address >> kernel._tag_shift
+    row = kernel._tags[set_index]
+    # A bypassed (or since-evicted) block has no line; hit way 0 instead.
+    way = row.index(tag) if tag in row else 0
     if kind == "flip-pred-bit":
         rows = getattr(kernel, "_pred_dead", None)
         if rows is None:
@@ -103,44 +138,20 @@ def _corrupt(kernel, kind: str) -> None:
 
         raise InjectedKernelError(
             f"injected kernel fault in {type(kernel).__name__} "
-            f"(access #{kernel_access_count(kernel)})"
+            f"(access #{access_index})"
         )
 
 
-def kernel_access_count(kernel) -> int:
-    """The armed access count of ``kernel``, 0 if no fault is armed."""
-    wrapper = kernel.__dict__.get("access")
-    arm = getattr(wrapper, "_fault_arm", None)
-    return arm.count if arm is not None else 0
-
-
-def _kernel_for(frontend, structure: str):
-    if structure == "icache":
-        return frontend._icache_kernel
-    return frontend._btb_kernel.inner
-
-
 def arm_kernel_fault(frontend, fault: KernelFault) -> FaultArm:
-    """Wrap the target kernel's ``access`` so the fault fires at the
-    configured access count.  Returns the live :class:`FaultArm`.
+    """Arm ``fault`` on a fast front end for its current run.
 
-    The wrapper is an instance attribute shadowing the bound method, so
-    every call site that looks up ``kernel.access`` (including the fast
-    engine's per-window rebinding) goes through it.
+    Returns the live :class:`FaultArm`, also installed as the front end's
+    ``_fault_arm``, which the batch loop consults once per window.
     """
-    kernel = _kernel_for(frontend, fault.structure)
+    if fault.structure == "icache":
+        kernel = frontend._icache_kernel
+    else:
+        kernel = frontend._btb_kernel.inner
     arm = FaultArm(fault, kernel)
-    original = kernel.access  # bound method from the class
-
-    def access(block, pc):
-        status = original(block, pc)
-        arm.count += 1
-        if not arm.fired and arm.count == fault.access_index:
-            arm.fired = True
-            _corrupt(kernel, fault.kind)
-        return status
-
-    access._fault_arm = arm
-    arm._original = original
-    kernel.access = access
+    frontend._fault_arm = arm
     return arm

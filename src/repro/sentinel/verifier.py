@@ -41,6 +41,14 @@ from repro.sentinel.faults import arm_kernel_fault
 
 __all__ = ["run_verified", "EngineSnapshot"]
 
+# The per-structure counters both engines keep in ``obs``: the kernels add
+# them at sync, the reference structures per access.
+_STRUCTURE_COUNTERS = tuple(
+    f"{scope}.{name}"
+    for scope in ("icache", "btb")
+    for name in ("hits", "misses", "bypasses", "evictions", "dead_evictions")
+) + ("btb.target_mispredictions",)
+
 
 class EngineSnapshot:
     """A deep copy of a front end's synced structures plus run state."""
@@ -153,6 +161,8 @@ def _kernel_fingerprints(frontend) -> dict[str, str]:
 def _localize(frontend, snapshot, window, arm, arm_count_before):
     """Bisect a divergent window record-by-record on two shadow engines.
 
+    The fast shadow runs each one-record window through the same batch
+    loop as the live run (with the fault, if any, rebased onto it).
     Returns ``(offset, field_diff)`` with ``offset`` the 0-based index of
     the first record after which the engines disagree, or ``(None, [])``
     when the window replays clean (e.g. the divergence predates the
@@ -224,6 +234,8 @@ class _Verifier:
         self.snapshot: EngineSnapshot | None = None
         self.replayed_since_snapshot: list = []
         self.arm_count_at_snapshot = 0
+        # The structures' obs counters at the snapshot (obs enabled only).
+        self.counters_at_snapshot: dict[str, int] = {}
 
     # -- barrier bookkeeping -------------------------------------------
     def begin_barrier(self) -> None:
@@ -231,8 +243,13 @@ class _Verifier:
         self.snapshot = take_snapshot(self.frontend, self.rs)
         self.replayed_since_snapshot = []
         self.arm_count_at_snapshot = self.arm.count if self.arm else 0
-        if self.obs.enabled:
-            self.obs.inc("sentinel.windows_verified")
+        obs = self.obs
+        if obs.enabled:
+            counter = obs.metrics.counter
+            self.counters_at_snapshot = {
+                name: counter(name) for name in _STRUCTURE_COUNTERS
+            }
+            obs.inc("sentinel.windows_verified")
 
     # -- divergence ----------------------------------------------------
     def check_barrier(self) -> DivergenceError | None:
@@ -342,13 +359,23 @@ class _Verifier:
         replay); ``rest`` is the untouched remainder of the stream.
         """
         frontend, obs = self.frontend, self.obs
-        if self.arm is not None:
-            self.arm.disarm()
+        frontend._fault_arm = None
         takeover = _build_reference(
             self.snapshot,
             wrong_path_depth=frontend.wrong_path_depth,
             obs=obs,
         )
+        if obs.enabled:
+            # The takeover replays everything since the snapshot: roll the
+            # structure counters back to their barrier values and let its
+            # structures count from there, as the fast kernels did.
+            for name, value in self.counters_at_snapshot.items():
+                excess = obs.metrics.counter(name) - value
+                if excess:
+                    obs.inc(name, -excess)
+            takeover.icache.obs = obs
+            takeover.btb.obs = obs
+            takeover.btb._cache.obs = obs
         trs = self.snapshot.rs
         trs.phase_span = self.rs.phase_span  # keep the live span open
         obs.inc("sentinel.failovers")
@@ -440,6 +467,5 @@ def run_verified(frontend, records, rs, options):
         pending = list(islice(stream, window_size))
         index += 1
 
-    if verifier.arm is not None:
-        verifier.arm.disarm()
+    frontend._fault_arm = None
     return frontend._finish_run(rs)

@@ -80,6 +80,33 @@ class TestWidthEscape:
         )
         assert result.findings == []
 
+    def test_executor_closure_stores_are_checked(self, tmp_path):
+        # Chunk executors store through aliases of kernel state inside
+        # closures; their stores establish and must respect widths too.
+        closure = (
+            "class K:\n"
+            "    def make(self, values):\n"
+            "        r0, r1 = self.tables\n"
+            "        top = self.counter_max\n"
+            "        def span(i):\n"
+            "            v = r0[i]\n"
+            "            if v < top:\n"
+            "                r0[i] = v + 1\n"
+            "            r1[i] = STORE\n"
+            "        return span\n"
+        )
+        clean = lint_snippet(
+            tmp_path / "clean", "kernel/mod.py",
+            closure.replace("STORE", "(values[i] + 1) & 3"), rules=["flow-width-escape"],
+        )
+        assert clean.findings == []
+        bad = lint_snippet(
+            tmp_path / "bad", "kernel/mod.py",
+            closure.replace("STORE", "values[i] + 1"), rules=["flow-width-escape"],
+        )
+        assert rule_ids(bad) == ["flow-width-escape"]
+        assert bad.findings[0].line == 9
+
     def test_unguarded_increment_escapes(self, tmp_path):
         result = lint_snippet(
             tmp_path,
@@ -132,7 +159,9 @@ class TestTable1Proof:
         return harvest_module(ast.parse(source))
 
     def test_counters_prove_two_bits(self, ghrp_widths):
-        bound = ghrp_widths["GHRPKernelState"].bounds["self.tables[*]"]
+        # The counters are trained inside the executor closures, through
+        # the kernel's shared predictor state.
+        bound = ghrp_widths["GHRPCacheKernel"].bounds["self.state.tables[*]"]
         assert (bound.lo, bound.hi) == (0, 3)
 
     def test_path_histories_prove_sixteen_bits(self, ghrp_widths):

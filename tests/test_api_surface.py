@@ -24,7 +24,6 @@ API_EXPORTS = frozenset(
         "TelemetryConfig",
         "TelemetryRun",
         "BatchKernel",
-        "TokenCache",
         "TraceTokens",
         "batch_kernel",
         "tokenize_trace",
@@ -62,7 +61,6 @@ TOP_LEVEL_EXPORTS = frozenset(
         "make_suite",
         "make_workload",
         "BatchKernel",
-        "TokenCache",
         "TraceTokens",
         "batch_kernel",
         "tokenize_trace",

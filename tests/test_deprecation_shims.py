@@ -20,6 +20,10 @@ content-addressed cache behind ``SweepScheduler`` is the one durable
 store, so ``repro.experiments.store`` no longer imports and the flags
 that fed it (``grid --resume``, ``grid --checkpoint-every``,
 ``report --store``) are usage errors; ``--cache-dir`` replaces them.
+
+``TokenCache``, a token memo nothing in the package instantiated, is
+gone from the kernel package and the facade: callers tokenize once with
+``tokenize_trace`` and reuse the ``TraceTokens``.
 """
 
 from __future__ import annotations
@@ -81,6 +85,17 @@ def test_build_policies_private_alias_removed(config):
     assert ghrp is not None
     assert icache_policy.predictor is ghrp
     assert btb_policy.predictor is ghrp
+
+
+def test_token_cache_removed():
+    import repro
+    import repro.api as api
+    import repro.kernel as kernel
+    import repro.kernel.tokenizer as tokenizer
+
+    for module in (repro, api, kernel, tokenizer):
+        assert "TokenCache" not in module.__all__
+        assert not hasattr(module, "TokenCache")
 
 
 def test_result_store_module_removed():

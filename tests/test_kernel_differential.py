@@ -7,19 +7,31 @@ must match the reference engine exactly after the run.  These tests run
 both engines on the same records and compare results *and* deep internal
 state, across every kernelized policy and several workload archetypes.
 
-Also pinned here: :func:`repro.util.hashing.full_space_table` (the
-kernels' precomputed index lookup) agrees with the scalar
+Also pinned here: the build-time gate (every configuration the batch
+loop does not replay falls back to the reference engine with a recorded
+reason and identical results), metrics-only observability staying on
+the batch loop, and :func:`repro.util.hashing.full_space_table` (the
+kernels' precomputed index lookup) agreeing with the scalar
 :func:`repro.util.hashing.skewed_indices` everywhere.
 """
 
-from dataclasses import asdict
+import io
+from dataclasses import asdict, replace
 
 import pytest
 
+import repro.frontend.engine as frontend_engine
+import repro.kernel.engine as kernel_engine
+from repro.cache.geometry import CacheGeometry
+from repro.cache.set_assoc import SetAssociativeCache
+from repro.core.config import GHRPConfig
 from repro.frontend.config import FrontEndConfig
-from repro.frontend.engine import FrontEnd, build_frontend
+from repro.frontend.engine import FrontEnd, build_frontend, build_policies
 from repro.frontend.options import RunOptions
 from repro.kernel.engine import FastFrontEnd
+from repro.obs import NULL_OBS, EventTracer, Observability
+from repro.policies.ghrp_policy import GHRPBTBPolicy, GHRPPolicy
+from repro.policies.sdbp import SDBPConfig
 from repro.util.hashing import full_space_table, skewed_indices
 from repro.workloads.spec import Category
 from repro.workloads.suite import make_workload
@@ -109,23 +121,150 @@ class TestKernelDifferential:
     def test_policy_across_archetypes(self, policy, category):
         assert_identical(FrontEndConfig(icache_policy=policy), category=category)
 
-    def test_wrong_path_with_history_recovery(self):
-        # Wrong-path fetches train the predictor off-path and the GHRP
-        # history must be recovered afterwards — the subtlest kernel path.
-        assert_identical(
-            FrontEndConfig(icache_policy="ghrp", wrong_path_depth=4),
-            trace_scale=0.08,
-        )
-
     def test_standalone_ghrp_btb(self):
         assert_identical(FrontEndConfig(icache_policy="lru", btb_policy="ghrp"))
 
-    def test_mixed_policies_with_wrong_path(self):
-        assert_identical(
-            FrontEndConfig(
-                icache_policy="ghrp", btb_policy="lru", wrong_path_depth=3
-            )
+
+def _shared_standalone_btb(config):
+    """``build_policies`` twin: a standalone GHRP BTB on the I-cache's predictor."""
+    icache_policy, _btb_policy, ghrp = build_policies(config)
+    return icache_policy, GHRPBTBPolicy(predictor=ghrp), ghrp
+
+
+def _foreign_coupled_btb(config):
+    """``build_policies`` twin: a GHRP BTB coupled to another front end's I-cache."""
+    icache_policy, _btb_policy, ghrp = build_policies(config)
+    foreign = GHRPPolicy(predictor=ghrp)
+    geometry = CacheGeometry.from_capacity(
+        config.icache_bytes, config.icache_assoc, config.block_size
+    )
+    SetAssociativeCache(geometry, foreign)
+    return icache_policy, GHRPBTBPolicy(predictor=ghrp, icache_policy=foreign), ghrp
+
+
+GHRP = dict(icache_policy="ghrp", btb_policy="ghrp")
+
+# (config, build_policies override, traced, the cause the reason names)
+GATE_CASES = [
+    pytest.param(
+        # Wrong-path fetches train the predictor off-path and the GHRP
+        # history must be recovered afterwards.
+        FrontEndConfig(icache_policy="ghrp", wrong_path_depth=4),
+        None, False, "wrong-path", id="wrong-path-ghrp",
+    ),
+    pytest.param(
+        FrontEndConfig(icache_policy="ghrp", btb_policy="lru", wrong_path_depth=3),
+        None, False, "wrong-path", id="wrong-path-mixed",
+    ),
+    pytest.param(
+        FrontEndConfig(**GHRP, indirect_predictor=True),
+        None, False, "indirect", id="indirect-predictor",
+    ),
+    pytest.param(FrontEndConfig(**GHRP), None, True, "tracing", id="event-tracer"),
+    pytest.param(
+        FrontEndConfig(**GHRP, ghrp=GHRPConfig(aggregation="sum")),
+        None, False, "sum aggregation", id="ghrp-sum",
+    ),
+    pytest.param(
+        FrontEndConfig(**GHRP, ghrp=GHRPConfig(num_tables=5)),
+        None, False, "5 prediction tables", id="ghrp-tables",
+    ),
+    pytest.param(
+        FrontEndConfig(**GHRP, ghrp=GHRPConfig(history_bits=72)),
+        None, False, "72-bit history", id="ghrp-wide-history",
+    ),
+    pytest.param(
+        FrontEndConfig(icache_policy="sdbp", sdbp=SDBPConfig(num_tables=4)),
+        None, False, "4 prediction tables", id="sdbp-tables",
+    ),
+    pytest.param(
+        FrontEndConfig(**GHRP), _shared_standalone_btb, False,
+        "shares its predictor", id="ghrp-standalone-shared",
+    ),
+    pytest.param(
+        FrontEndConfig(**GHRP), _foreign_coupled_btb, False,
+        "not coupled to this front end", id="ghrp-foreign-coupling",
+    ),
+]
+
+
+class TestFastPathGate:
+    """Every configuration the batch loop does not replay falls back at
+    build time, says why, and produces the reference engine's results."""
+
+    @pytest.mark.parametrize(("config", "policies", "traced", "cause"), GATE_CASES)
+    def test_gated_config_falls_back(
+        self, config, policies, traced, cause, monkeypatch
+    ):
+        if policies is not None:
+            monkeypatch.setattr(frontend_engine, "build_policies", policies)
+        workload = make_workload(
+            "gate", Category.SHORT_SERVER, seed=2018, trace_scale=0.05
         )
+        records = list(workload.records())
+        options = RunOptions(warmup_instructions=2000)
+        runs = {}
+        for engine in ("reference", "fast"):
+            obs = Observability(tracer=EventTracer(io.StringIO())) if traced else NULL_OBS
+            frontend = build_frontend(config, obs=obs, engine=engine)
+            assert type(frontend) is FrontEnd
+            runs[engine] = (frontend.run(records, options), deep_state(frontend))
+        (ref_result, ref_state), (fast_result, fast_state) = (
+            runs["reference"], runs["fast"]
+        )
+        reason = fast_result.fast_path_fallback_reason
+        assert reason is not None and cause in reason, reason
+        assert ref_result.fast_path_fallback_reason is None
+        assert asdict(fast_result) == asdict(
+            replace(ref_result, fast_path_fallback_reason=reason)
+        )
+        assert fast_state == ref_state
+
+    def test_without_numpy_the_gate_falls_back(self, monkeypatch):
+        monkeypatch.setattr(kernel_engine, "HAVE_NUMPY", False)
+        frontend = build_frontend(FrontEndConfig(), engine="fast")
+        assert type(frontend) is FrontEnd
+        assert "numpy" in frontend.fast_path_fallback_reason
+
+
+class TestMetricsOnlyObservability:
+    """``Observability()`` without a tracer keeps the batch loop and
+    counts exactly what the reference engine counts."""
+
+    @pytest.mark.parametrize("policy", ["lru", "sdbp", "ghrp"])
+    def test_obs_on_runs_only_batch_windows(self, policy, monkeypatch):
+        windows = {"all": 0, "batch": 0}
+        run_window = FastFrontEnd._run_window
+        run_window_batch = FastFrontEnd._run_window_batch
+
+        def counting_window(self, records, rs):
+            windows["all"] += 1
+            return run_window(self, records, rs)
+
+        def counting_batch(self, tokens, rs):
+            windows["batch"] += 1
+            return run_window_batch(self, tokens, rs)
+
+        monkeypatch.setattr(FastFrontEnd, "_run_window", counting_window)
+        monkeypatch.setattr(FastFrontEnd, "_run_window_batch", counting_batch)
+        workload = make_workload(
+            "obs", Category.SHORT_SERVER, seed=2018, trace_scale=0.05
+        )
+        records = list(workload.records())
+        config = FrontEndConfig(icache_policy=policy, btb_policy=policy)
+        options = RunOptions(warmup_instructions=2000)
+        snapshots = {}
+        for engine in ("reference", "fast"):
+            obs = Observability()
+            frontend = build_frontend(config, obs=obs, engine=engine)
+            result = frontend.run(records, options)
+            assert result.fast_path_fallback_reason is None
+            snapshots[engine] = obs.metrics.snapshot()
+        assert windows["batch"] == windows["all"] > 0
+        reference, fast = snapshots["reference"], snapshots["fast"]
+        assert reference["counters"]["icache.hits"] > 0
+        assert fast["counters"] == reference["counters"]
+        assert fast["gauges"] == reference["gauges"]
 
 
 class TestFastPathFallback:

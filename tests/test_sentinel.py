@@ -35,7 +35,6 @@ from repro.sentinel import (
     load_manifest,
     replay_bundle,
 )
-from repro.sentinel.faults import kernel_access_count
 from repro.workloads.spec import Category
 from repro.workloads.suite import make_workload
 
@@ -230,7 +229,8 @@ class TestSilentCorruption:
             ),
         )
         assert result.degraded is False
-        assert kernel_access_count(frontend._icache_kernel) >= fault_access
+        assert frontend._fault_arm.fired
+        assert frontend._fault_arm.count >= fault_access
 
 
 # ----------------------------------------------------------------------
@@ -366,6 +366,39 @@ class TestCrashFailover:
                 ),
             )
         assert excinfo.value.bundle_path is None
+
+
+# ----------------------------------------------------------------------
+# Metrics survive a failover
+# ----------------------------------------------------------------------
+class TestObsCountersAcrossFailover:
+    @pytest.mark.parametrize("policy", ["lru", "ghrp"])
+    @pytest.mark.parametrize("fault_at", [None, 5_000], ids=["clean", "failover"])
+    def test_structure_counters_equal_final_stats(self, policy, fault_at, workload):
+        # The takeover engine replays the window since the last barrier:
+        # its structures must keep counting, and the replayed window must
+        # not be counted twice.
+        config = FrontEndConfig(icache_policy=policy, btb_policy=policy)
+        fault = (
+            None if fault_at is None else flip_fault(fault_at, kind="raise")
+        )
+        obs = Observability()
+        frontend = build_frontend(config, obs=obs, engine="fast")
+        result = frontend.run(
+            workload.records(),
+            run_options(workload, config, inject_kernel_fault=fault),
+        )
+        assert result.degraded is (fault is not None)
+        counter = obs.metrics.counter
+        for scope, stats in (
+            ("icache", result.icache_total),
+            ("btb", result.btb_total),
+        ):
+            for name in ("hits", "misses", "bypasses", "evictions", "dead_evictions"):
+                assert counter(f"{scope}.{name}") == getattr(stats, name), (
+                    f"{scope}.{name}"
+                )
+        assert counter("btb.target_mispredictions") == result.target_mispredictions
 
 
 # ----------------------------------------------------------------------

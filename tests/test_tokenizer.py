@@ -1,4 +1,4 @@
-"""Pre-tokenizer round-trip and cache-invalidation tests.
+"""Pre-tokenizer round-trip tests.
 
 The batched fast path never walks :class:`FetchBlockStream`; it replays
 the same reconstruction from the flat arrays :func:`tokenize_trace`
@@ -6,19 +6,15 @@ builds in one vectorized pass.  The property tests here pin the two
 reconstructions together access-for-access — every fetch-region start,
 cumulative instruction count, I-cache block access (with the exact
 ``pc=max(start_pc, block)`` the reference engine passes), BTB lookup,
-conditional-branch outcome, and RAS operation.  :class:`TokenCache`
-tests pin the invalidation contract: any change to the workload digest
-*or* the config digest re-tokenizes.
+conditional-branch outcome, and RAS operation.
 """
 
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend.config import FrontEndConfig
-from repro.kernel.tokenizer import TOKEN_STREAMS, TokenCache, TraceTokens, tokenize_trace
+from repro.kernel.tokenizer import TOKEN_STREAMS, tokenize_trace
 from repro.traces.record import BranchRecord, BranchType
 from repro.traces.reconstruct import FetchBlockStream
 from repro.workloads.spec import Category
@@ -221,74 +217,3 @@ class TestRoundTrip:
             "cond-stream",
             "ras-stream",
         }
-
-
-class TestTokenCache:
-    def _workload(self, name="cache", seed=7, trace_scale=0.01):
-        return make_workload(name, Category.SHORT_SERVER, seed=seed, trace_scale=trace_scale)
-
-    def test_hit_returns_the_same_tokens(self):
-        cache = TokenCache()
-        workload = self._workload()
-        config = FrontEndConfig()
-        first = cache.tokens_for(workload, config)
-        second = cache.tokens_for(workload, config)
-        assert second is first
-        assert isinstance(first, TraceTokens)
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert first.pc == [r.pc for r in workload.records()]
-
-    def test_workload_digest_change_invalidates(self):
-        cache = TokenCache()
-        config = FrontEndConfig()
-        cache.tokens_for(self._workload(seed=7), config)
-        # A new seed materializes a different trace: must re-tokenize.
-        cache.tokens_for(self._workload(seed=8), config)
-        assert (cache.hits, cache.misses) == (0, 2)
-        # So does a spec change (trace_scale alters the materialized spec).
-        cache.tokens_for(self._workload(seed=7, trace_scale=0.02), config)
-        assert (cache.hits, cache.misses) == (0, 3)
-        # And so does the name, which seeds the deterministic jitter.
-        cache.tokens_for(self._workload(name="other"), config)
-        assert (cache.hits, cache.misses) == (0, 4)
-
-    def test_config_digest_change_invalidates(self):
-        cache = TokenCache()
-        workload = self._workload()
-        cache.tokens_for(workload, FrontEndConfig())
-        cache.tokens_for(workload, FrontEndConfig(icache_policy="ghrp"))
-        assert (cache.hits, cache.misses) == (0, 2)
-        # Same config again: both prior entries are still live.
-        cache.tokens_for(workload, FrontEndConfig())
-        assert (cache.hits, cache.misses) == (1, 2)
-
-    def test_digest_key_is_stable_and_sensitive(self):
-        workload = self._workload()
-        config = FrontEndConfig()
-        key = TokenCache.digest_key(workload, config)
-        assert key == TokenCache.digest_key(workload, config)
-        assert key != TokenCache.digest_key(self._workload(seed=8), config)
-        assert key != TokenCache.digest_key(
-            workload, FrontEndConfig(icache_policy="ghrp")
-        )
-
-    def test_lru_eviction_at_capacity(self):
-        cache = TokenCache(capacity=2)
-        config = FrontEndConfig()
-        a = self._workload(name="a")
-        b = self._workload(name="b")
-        c = self._workload(name="c")
-        cache.tokens_for(a, config)
-        cache.tokens_for(b, config)
-        cache.tokens_for(a, config)  # touch a: b becomes least-recent
-        cache.tokens_for(c, config)  # evicts b
-        assert len(cache) == 2
-        assert (cache.hits, cache.misses) == (1, 3)
-        cache.tokens_for(a, config)
-        assert cache.hits == 2  # a survived
-        cache.tokens_for(b, config)
-        assert cache.misses == 4  # b was evicted
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity"):
-            TokenCache(capacity=0)
