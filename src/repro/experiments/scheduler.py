@@ -291,7 +291,6 @@ class SweepScheduler:
         if isinstance(workloads, Workload):
             workloads = (workloads,)
         cells = self.plan(workloads, policies)
-        journal_state = self.journal.replay()
         results: dict[int, CellResult] = {}
         failures: dict[int, FailedCell] = {}
         pending: list[_Cell] = []
@@ -322,6 +321,10 @@ class SweepScheduler:
             pending.append(cell)
 
         if pending:
+            # Replay only when something runs: the journal's one input to
+            # a run is the attempt count of each pending cell, and the
+            # completed set is the cache itself.
+            journal_state = self.journal.replay()
             if self.supervisor is not None:
                 self._run_supervised(pending, results, failures, journal_state,
                                      progress)

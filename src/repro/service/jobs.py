@@ -41,7 +41,9 @@ from repro.frontend.engine import ENGINES
 from repro.policies.registry import available_policies
 from repro.sentinel.digest import canonical_fingerprint
 from repro.workloads.spec import Category
-from repro.workloads.suite import Workload, make_workload
+from repro.workloads.suite import Workload, workload_spec
+# Unused here; perfbench/tracing.py wraps this name as a trace point.
+from repro.workloads.suite import make_workload  # noqa: F401
 
 __all__ = [
     "JOB_STATES",
@@ -86,8 +88,10 @@ class JobSpec:
 
     ``workloads`` holds normalized descriptors (name, category value,
     seed, trace/footprint scale) rather than :class:`Workload` objects:
-    descriptors journal as plain JSON and rebuild deterministically via
-    :func:`make_workload` on whichever process executes the job.
+    descriptors journal as plain JSON, and :meth:`build_workloads` turns
+    them into identity-only workloads on whichever process executes the
+    job.  A workload's program is built only when one of its cells is
+    computed, so a job whose cells are all cached builds nothing.
     """
 
     workloads: tuple[dict, ...]
@@ -201,11 +205,16 @@ class JobSpec:
         return self._build_config(self.config_overrides)
 
     def build_workloads(self) -> list[Workload]:
+        """Identity-only workloads (programs built on first use)."""
         return [
-            make_workload(
-                w["name"], Category(w["category"]), seed=w["seed"],
-                trace_scale=w["trace_scale"],
-                footprint_scale=w["footprint_scale"],
+            Workload(
+                name=w["name"],
+                spec=workload_spec(
+                    w["name"], Category(w["category"]), seed=w["seed"],
+                    trace_scale=w["trace_scale"],
+                    footprint_scale=w["footprint_scale"],
+                ),
+                seed=w["seed"],
             )
             for w in self.workloads
         ]

@@ -386,7 +386,9 @@ class JobManager:
                 heartbeat_interval_seconds=self.config.heartbeat_interval_seconds,
                 snapshots=self.config.snapshots,
             ),
-            obs=Observability(),
+            # Counters nobody reads would cost the job its warm-up
+            # snapshots (memoization requires observability off).
+            obs=NULL_OBS,
             engine=spec.engine,
             verify=spec.verify,
             clock=self.clock.wall,

@@ -1,7 +1,8 @@
 """Named workloads and the benchmark suite.
 
-A :class:`Workload` bundles a spec, a built program, and a replayable
-record stream; :func:`make_suite` manufactures the repository's stand-in
+A :class:`Workload` is an identity — name, seed and spec — whose program
+is built on first use and whose record stream replays deterministically;
+:func:`make_suite` manufactures the repository's stand-in
 for the paper's 662-trace CBP-5 suite — a deterministic set of workloads
 spread over the four categories, sized by a scale factor so the full
 harness runs in minutes in pure Python.
@@ -20,7 +21,13 @@ from repro.workloads.program import Program
 from repro.workloads.spec import Category, WorkloadSpec, spec_for_category
 from repro.workloads.walker import ProgramWalker
 
-__all__ = ["Workload", "make_workload", "make_suite", "DEFAULT_SUITE_MIX"]
+__all__ = [
+    "Workload",
+    "workload_spec",
+    "make_workload",
+    "make_suite",
+    "DEFAULT_SUITE_MIX",
+]
 
 DEFAULT_SUITE_MIX: dict[Category, int] = {
     Category.SHORT_MOBILE: 5,
@@ -33,13 +40,22 @@ DEFAULT_SUITE_MIX: dict[Category, int] = {
 
 @dataclass(slots=True)
 class Workload:
-    """One replayable synthetic workload."""
+    """One replayable synthetic workload.
+
+    Its identity is ``(name, spec, seed)``: the program, the record
+    stream and the instruction count are pure functions of those three,
+    so they stay out of ``__eq__`` and are derived on first use.  A
+    workload that is only looked up — e.g. a cell already in the cache —
+    never builds its program.
+    """
 
     name: str
     spec: WorkloadSpec
     seed: int
-    program: Program = field(repr=False)
     _instruction_count: int | None = field(default=None, repr=False, compare=False)
+    _program: Program | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _records: list[BranchRecord] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -47,6 +63,15 @@ class Workload:
     @property
     def category(self) -> Category:
         return self.spec.category
+
+    @property
+    def program(self) -> Program:
+        """The synthetic program, built from the spec on first use."""
+        if self._program is None:
+            self._program = build_program(
+                self.spec, derive_seed(self.seed, "program", self.name)
+            )
+        return self._program
 
     def records(self, limit: int | None = None) -> Iterator[BranchRecord]:
         """A fresh, deterministic branch-record stream.
@@ -100,7 +125,7 @@ class Workload:
         return self._instruction_count
 
 
-def make_workload(
+def workload_spec(
     name: str,
     category: Category,
     seed: int,
@@ -108,8 +133,8 @@ def make_workload(
     footprint_scale: float = 1.0,
     spec: WorkloadSpec | None = None,
     jitter: bool = True,
-) -> Workload:
-    """Build one workload from a category preset (or an explicit spec).
+) -> WorkloadSpec:
+    """The final spec of one workload: preset (or ``spec``), scaled, jittered.
 
     With ``jitter`` (the default for suites), shape parameters are varied
     deterministically per seed — footprint, trace length, phase count,
@@ -134,8 +159,35 @@ def make_workload(
                 max(scaled.shared_function_fraction * rng.uniform(0.5, 1.8), 0.0), 0.5
             ),
         )
-    program = build_program(scaled, derive_seed(seed, "program", name))
-    return Workload(name=name, spec=scaled, seed=seed, program=program)
+    return scaled
+
+
+def make_workload(
+    name: str,
+    category: Category,
+    seed: int,
+    trace_scale: float = 1.0,
+    footprint_scale: float = 1.0,
+    spec: WorkloadSpec | None = None,
+    jitter: bool = True,
+) -> Workload:
+    """Build one workload from a category preset (or an explicit spec).
+
+    The spec comes from :func:`workload_spec`; the program is built here,
+    up front, so a sweep's first cell of each workload does not pay for
+    it.  ``Workload(name, workload_spec(...), seed)`` is the same
+    workload with the build deferred to first use.
+    """
+    workload = Workload(
+        name=name,
+        spec=workload_spec(
+            name, category, seed, trace_scale=trace_scale,
+            footprint_scale=footprint_scale, spec=spec, jitter=jitter,
+        ),
+        seed=seed,
+    )
+    workload.program  # build now: callers get a built workload
+    return workload
 
 
 def make_suite(

@@ -12,8 +12,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro.workloads.suite as suite_module
+from repro.experiments.content import cell_digest, cell_signature
 from repro.experiments.faults import ServiceFaultPlan
 from repro.experiments.journal import CellJournal
+from repro.experiments.runner import CellResult, run_cell
+from repro.experiments.scheduler import SweepScheduler
+from repro.frontend.config import FrontEndConfig
 from repro.service import (
     JobManager,
     JobSpec,
@@ -26,6 +31,9 @@ from repro.service import (
     UnknownJobError,
 )
 from repro.service.jobs import CANCELLED, DONE, EXPIRED, FAILED, QUEUED, RUNNING
+from repro.util.rng import derive_seed
+from repro.workloads.spec import Category
+from repro.workloads.suite import make_workload
 
 # Small enough that a full job runs in well under a second.
 TINY_CONFIG = {
@@ -137,9 +145,20 @@ class TestJobSpec:
         assert again.fingerprint() == spec.fingerprint()
 
     def test_build_workloads_is_deterministic(self):
-        spec = JobSpec.from_payload(payload())
+        spec = JobSpec.from_payload(payload(seed=7))
         first, second = spec.build_workloads(), spec.build_workloads()
-        assert [w.name for w in first] == [w.name for w in second]
+        assert first == second
+        # Identity only: nothing is built until a cell needs the program.
+        assert all(w._program is None for w in first + second)
+        built = make_workload("short-mobile-7", Category.SHORT_MOBILE, seed=7,
+                              trace_scale=0.02, footprint_scale=0.3)
+        assert first == [built]
+        config = spec.build_config()
+        assert (cell_digest(first[0], "lru", config)
+                == cell_digest(built, "lru", config))
+        assert list(first[0].records()) == list(second[0].records())
+        assert list(first[0].records()) == list(built.records())
+        assert first[0].instruction_count() == built.instruction_count()
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +394,110 @@ class TestExecution:
         manager.run_once()
         assert faults.heartbeats_seen >= 2
         assert faults.heartbeats_dropped == 1
+
+
+def cells_of(document) -> list[dict]:
+    return [cell_signature(CellResult(**cell)) for cell in document["cells"]]
+
+
+class TestCachedJobs:
+    """A job builds programs and replays the cell journal only for the
+    cells it computes; everything already cached is a pure read."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = {"builds": [], "replays": 0}
+        build, replay = suite_module.build_program, CellJournal.replay
+
+        def counting_build(spec, seed):
+            seen["builds"].append(seed)
+            return build(spec, seed)
+
+        def counting_replay(journal):
+            seen["replays"] += 1
+            return replay(journal)
+
+        monkeypatch.setattr(suite_module, "build_program", counting_build)
+        monkeypatch.setattr(CellJournal, "replay", counting_replay)
+        return seen
+
+    @staticmethod
+    def two_workloads(**extra):
+        body = payload(**extra)
+        body["workloads"].append(dict(body["workloads"][0], seed=2))
+        return body
+
+    def test_all_cached_job_builds_nothing_and_replays_nothing(
+        self, tmp_path, clock, counts
+    ):
+        manager = manager_for(tmp_path, clock)
+        first, _ = manager.submit(self.two_workloads(policies=["lru", "random"]))
+        manager.run_once()
+        assert first.state == DONE
+        assert len(counts["builds"]) == 2 and counts["replays"] == 1
+
+        # A default config field spelled out: a new job over the same
+        # cell digests.
+        body = self.two_workloads(policies=["lru", "random"])
+        body["config"]["warmup_fraction"] = FrontEndConfig().warmup_fraction
+        counts["builds"].clear()
+        counts["replays"] = 0
+        second, created = manager.submit(body)
+        assert created and second.job_id != first.job_id
+        manager.run_once()
+        assert second.state == DONE
+        assert counts == {"builds": [], "replays": 0}
+        document = manager.store.get_result(second.job_id)
+        assert document["stats"]["computed"] == 0
+        assert document["stats"]["cache_hits"] == 4
+        assert document["grid_signature"] == first.grid_signature
+
+    def test_one_missing_cell_builds_only_its_workload(
+        self, tmp_path, clock, counts
+    ):
+        manager = manager_for(tmp_path, clock)
+        manager.submit(payload())
+        manager.run_once()
+        counts["builds"].clear()
+        counts["replays"] = 0
+
+        record, _ = manager.submit(self.two_workloads())
+        manager.run_once()
+        assert record.state == DONE
+        (missing,) = JobSpec.from_payload(self.two_workloads()).build_workloads()[1:]
+        assert counts["builds"] == [
+            derive_seed(2, "program", missing.name)
+        ]
+        assert counts["replays"] == 1
+        document = manager.store.get_result(record.job_id)
+        assert document["stats"]["computed"] == 1
+        assert document["stats"]["cache_hits"] == 1
+
+        direct = SweepScheduler(
+            tmp_path / "direct", FrontEndConfig(**TINY_CONFIG)
+        ).run([missing], ["lru"])
+        (cell,) = [c for c in cells_of(document) if c["workload"] == missing.name]
+        assert cell == cell_signature(direct.cells[0])
+
+    def test_jobs_memoize_warm_ups(self, tmp_path, clock):
+        # Two jobs that differ only in measurement length share one
+        # warm-up: the first writes the snapshot, the second resumes it.
+        manager = manager_for(tmp_path, clock)
+        documents = []
+        for limit in (6000, 9000):
+            body = payload(engine="fast")
+            body["config"]["max_instructions"] = limit
+            record, _ = manager.submit(body)
+            manager.run_once()
+            assert record.state == DONE
+            documents.append(manager.store.get_result(record.job_id))
+        assert documents[0]["stats"]["snapshot_writes"] == 1
+        assert documents[1]["stats"]["snapshot_hits"] == 1
+        (workload,) = JobSpec.from_payload(payload()).build_workloads()
+        for limit, document in zip((6000, 9000), documents):
+            config = FrontEndConfig(**TINY_CONFIG, max_instructions=limit)
+            expected = run_cell(workload, "lru", config, engine="fast")
+            assert cells_of(document) == [cell_signature(expected)]
 
 
 # ---------------------------------------------------------------------------

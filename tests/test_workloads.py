@@ -22,7 +22,9 @@ from repro.workloads.program import (
 )
 from repro.workloads.spec import Category, WorkloadSpec, spec_for_category
 from repro.util.rng import derive_seed
-from repro.workloads.suite import make_suite, make_workload
+from repro.experiments.content import cell_digest
+from repro.frontend.config import FrontEndConfig
+from repro.workloads.suite import Workload, make_suite, make_workload, workload_spec
 from repro.workloads.walker import ProgramWalker
 
 
@@ -262,6 +264,36 @@ class TestSuite:
         summary = summarize_trace(workload.records(1500))
         assert summary.branch_count == 1500
         assert 0.0 < summary.taken_fraction < 1.0
+
+
+class TestIdentityOnlyWorkload:
+    """``Workload(name, workload_spec(...), seed)`` is ``make_workload``'s
+    workload with the program build deferred to first use."""
+
+    @pytest.mark.parametrize("jitter", [True, False])
+    @pytest.mark.parametrize("category", list(Category))
+    def test_matches_make_workload(self, category, jitter):
+        args = dict(trace_scale=0.02, footprint_scale=0.3, jitter=jitter)
+        built = make_workload("w", category, seed=11, **args)
+        lazy = Workload("w", workload_spec("w", category, seed=11, **args), 11)
+        config = FrontEndConfig()
+        assert lazy == built
+        assert cell_digest(lazy, "ghrp", config) == cell_digest(built, "ghrp", config)
+        assert lazy._program is None  # equality and digests read identity only
+        clone = pickle.loads(pickle.dumps(lazy, protocol=pickle.HIGHEST_PROTOCOL))
+        assert clone == built and clone._program is None
+        assert list(lazy.records()) == list(built.records())
+        assert lazy.instruction_count() == built.instruction_count()
+        assert lazy.code_footprint_bytes == built.code_footprint_bytes
+        assert list(clone.records()) == list(built.records())
+
+    def test_program_is_built_once(self):
+        workload = Workload("w", workload_spec("w", Category.SHORT_MOBILE, 3), 3)
+        assert workload.program is workload.program
+
+    def test_make_workload_builds_up_front(self):
+        workload = make_workload("w", Category.SHORT_MOBILE, seed=3, trace_scale=0.02)
+        assert workload._program is not None
 
 
 class TestRecordMemo:
