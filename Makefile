@@ -77,7 +77,6 @@ figures: bench
 examples:
 	$(PYTHON) examples/quickstart.py --fast
 	$(PYTHON) examples/workload_characterization.py --branches 5000
-	$(PYTHON) examples/timing_study.py --fast
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/results

@@ -56,8 +56,8 @@ __all__ = [
 # must be as deterministic as the kernels they schedule (its two real
 # wall-clock reads carry explicit allow markers).
 KERNEL_DIR_NAMES = frozenset(
-    {"cache", "policies", "frontend", "traces", "prefetch", "core", "btb",
-     "branch", "kernel", "service"}
+    {"cache", "policies", "frontend", "traces", "core", "btb", "branch",
+     "kernel", "service"}
 )
 
 # Modules allowed to read process configuration (environment variables).

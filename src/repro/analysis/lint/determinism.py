@@ -4,9 +4,9 @@ Simulation results must be bit-identical across runs, hosts, and worker
 counts (the supervised grid executor of ``repro.experiments.supervisor``
 asserts this dynamically; these rules enforce it at the source level).
 They apply only to simulation-kernel modules — files under ``cache/``,
-``policies/``, ``frontend/``, ``traces/``, ``prefetch/``, ``core/``,
-``btb/``, or ``branch/`` — where a single nondeterministic call poisons
-every downstream MPKI number.
+``policies/``, ``frontend/``, ``traces/``, ``core/``, ``btb/``,
+``branch/``, ``kernel/``, or ``service/`` — where a single
+nondeterministic call poisons every downstream MPKI number.
 
 - ``det-unseeded-random``: module-global ``random.*`` (and
   ``numpy.random.*``) draws share interpreter-wide state seeded from the
@@ -151,7 +151,7 @@ class WallClockRule(_KernelRule):
     id = "det-wallclock"
     description = (
         "kernel code must not read the host clock (time.time, datetime.now, "
-        "...); simulated time comes from the timing model"
+        "...); simulated time is the reconstructed instruction count"
     )
 
     def _check(self, source: SourceFile) -> Iterator[Finding]:

@@ -12,7 +12,7 @@ Behaviour modeled:
   — an exclusive-ish arrangement);
 - misses in both levels allocate into L1 only (L2 fills by demotion);
 - an L1 hit costs nothing extra; an L2 hit is counted separately so a
-  timing model can charge a promotion bubble.
+  cost model can charge a promotion bubble.
 """
 
 from __future__ import annotations

@@ -158,7 +158,6 @@ class SetAssociativeCache:
         predicted_dead: bool,
         incoming_address: int,
         pc: int,
-        cause: str = "demand",
     ) -> None:
         """Count and trace one eviction (only called with obs enabled)."""
         self.obs.inc(self.obs_scope + ".evictions")
@@ -173,49 +172,9 @@ class SetAssociativeCache:
             predicted_dead=predicted_dead,
             incoming_address=incoming_address,
             pc=pc,
-            cause=cause,
+            cause="demand",
             **self.policy.victim_telemetry(set_index, way),
         )
-
-    def prefetch_fill(self, address: int, pc: int | None = None) -> bool:
-        """Install the block containing ``address`` without a demand access.
-
-        Returns True if a fill happened (False when already resident).
-        Prefetch fills do not count as accesses, hits, or misses — only
-        ``stats.prefetch_fills`` — but evictions they cause are real and
-        the replacement policy sees the fill like any other placement.
-        """
-        block = address & self._block_mask
-        set_index = (block >> self._offset_bits) & self._index_mask
-        tag = block >> self._tag_shift
-        set_tags = self._tags[set_index]
-        if tag in set_tags:
-            return False
-        self.now += 1
-        ctx = AccessContext(address=block, pc=pc if pc is not None else address)
-        try:
-            way = set_tags.index(_INVALID_TAG)
-        except ValueError:
-            way = self.policy.select_victim(set_index, ctx)
-            victim_address = (set_tags[way] << self._tag_shift) | (
-                set_index << self._offset_bits
-            )
-            predicted_dead = self.policy.predicts_dead(set_index, way)
-            self.stats.record_eviction(predicted_dead=predicted_dead)
-            if self.obs.enabled:
-                self._emit_eviction(
-                    set_index, way, victim_address, predicted_dead, block, ctx.pc,
-                    cause="prefetch",
-                )
-            self.policy.on_evict(set_index, way, victim_address)
-            if self.efficiency is not None:
-                self.efficiency.on_evict(set_index, way, self.now)
-        set_tags[way] = tag
-        self.stats.prefetch_fills += 1
-        self.policy.on_fill(set_index, way, ctx)
-        if self.efficiency is not None:
-            self.efficiency.on_fill(set_index, way, self.now)
-        return True
 
     def probe(self, address: int) -> int | None:
         """Return the way holding ``address``'s block, without side effects."""

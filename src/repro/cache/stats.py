@@ -24,7 +24,6 @@ class CacheStats:
     bypasses: int = 0
     evictions: int = 0
     dead_evictions: int = 0
-    prefetch_fills: int = 0
     instructions: int = 0
 
     def record_hit(self) -> None:
@@ -66,7 +65,6 @@ class CacheStats:
             bypasses=self.bypasses,
             evictions=self.evictions,
             dead_evictions=self.dead_evictions,
-            prefetch_fills=self.prefetch_fills,
             instructions=self.instructions,
         )
 
@@ -83,6 +81,5 @@ class CacheStats:
             bypasses=self.bypasses - baseline.bypasses,
             evictions=self.evictions - baseline.evictions,
             dead_evictions=self.dead_evictions - baseline.dead_evictions,
-            prefetch_fills=self.prefetch_fills - baseline.prefetch_fills,
             instructions=self.instructions - baseline.instructions,
         )

@@ -8,7 +8,6 @@ Subcommands:
   comparison table;
 - ``suite``     — run the benchmark suite grid and print the headline
   numbers (abstract-style);
-- ``timing``    — run the cycle-approximate timing model on a workload;
 - ``storage``   — print Table I (GHRP and modified-SDBP storage);
 - ``report``    — run a suite grid through the content-addressed sweep
   scheduler (results cached in ``--cache-dir``) and write a markdown
@@ -25,8 +24,6 @@ Subcommands:
   kernel crash under ``--verify``) and report whether the failure
   reproduces; exits 1 when it does not;
 - ``characterize`` — reuse-distance + deadness analysis of a workload;
-- ``profile``   — run one workload under the sampling profiler and print
-  where main-loop time goes (tokenize/lookup/update/sync);
 - ``bench-diff`` — compare the latest ``BENCH_HISTORY.jsonl`` entry
   against the newest earlier entry of the same profile; exits 1 on a
   perf regression beyond tolerance (CI gates on it);
@@ -340,17 +337,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_timing(args: argparse.Namespace) -> int:
-    from repro.timing import build_timed_frontend
-
-    workload = _workload_from(args)
-    frontend = build_timed_frontend(_config_from(args, args.policy))
-    warmup = min(workload.instruction_count() // 2, 200_000)
-    result = frontend.run(workload.records(), warmup_instructions=warmup)
-    print(result.render())
-    return 0
-
-
 def _cmd_storage(args: argparse.Namespace) -> int:
     ghrp, sdbp = figures.table1_storage(
         icache_bytes=args.icache_kb * 1024,
@@ -658,31 +644,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run one workload under the sampling profiler; print phase shares."""
-    from repro.telemetry.profiler import LoopProfiler, render_profile
-
-    config = _config_from(args, args.policy)
-    workload = _workload_from(args)
-    profiler = LoopProfiler(interval_seconds=1.0 / args.sample_hz)
-    with profiler:
-        result = run_workload(workload, config, engine=args.engine)
-    report = profiler.report()
-    print(result.summary_line())
-    _print_engine_notes(result)
-    print(render_profile(report))
-    if args.out:
-        payload = report.to_dict()
-        payload["engine"] = args.engine
-        payload["policy"] = args.policy
-        payload["workload"] = f"{args.category}-{args.seed}"
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote profile to {args.out}")
-    return 0
-
-
 def _cmd_bench_diff(args: argparse.Namespace) -> int:
     """Compare the newest perf-ledger entry against a baseline."""
     from repro.telemetry.bench import (
@@ -980,12 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_argument(suite)
     suite.set_defaults(func=_cmd_suite)
 
-    timing = add_subcommand("timing", "cycle-approximate CPI for one workload")
-    _add_workload_arguments(timing)
-    _add_config_arguments(timing)
-    timing.add_argument("--policy", choices=available_policies(), default="ghrp")
-    timing.set_defaults(func=_cmd_timing)
-
     storage = add_subcommand("storage", "print Table I storage breakdowns")
     _add_config_arguments(storage)
     storage.set_defaults(func=_cmd_storage)
@@ -1102,19 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_arguments(characterize)
     characterize.add_argument("--branches", type=int, default=20_000)
     characterize.set_defaults(func=_cmd_characterize)
-
-    profile = add_subcommand(
-        "profile", "sample the engine main loop; print per-phase self-time"
-    )
-    _add_workload_arguments(profile)
-    _add_config_arguments(profile)
-    _add_engine_argument(profile)
-    profile.add_argument("--policy", choices=available_policies(), default="ghrp")
-    profile.add_argument("--sample-hz", type=float, default=500.0,
-                         help="stack samples per second (default: 500)")
-    profile.add_argument("--out", default=None,
-                         help="also write the profile report as JSON here")
-    profile.set_defaults(func=_cmd_profile)
 
     bench_diff = add_subcommand(
         "bench-diff", "compare the perf ledger's newest entry to a baseline"

@@ -63,9 +63,10 @@ CELL_DIGEST_SCHEMA = 1
 #: :func:`warmup_digest`.  Bump it whenever what a snapshot pickles
 #: changes shape (format 2: derivable signature tables and the SDBP
 #: sampler pickle compactly; format 3: kernels without per-access state
-#: and a fast front end carrying its fault arm); results and
-#: ``cell_digest`` are unaffected.
-SNAPSHOT_FORMAT = 3
+#: and a fast front end carrying its fault arm; format 4: a front end
+#: without the three extension-hook attributes of earlier releases);
+#: results and ``cell_digest`` are unaffected.
+SNAPSHOT_FORMAT = 4
 
 
 def _library_version() -> str:

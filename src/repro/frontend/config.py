@@ -44,12 +44,6 @@ class FrontEndConfig:
     wrong_path_depth:
         Blocks of wrong-path fetch simulated past each mispredicted
         branch (0 disables, the CBP5-style trace-driven default).
-    prefetcher:
-        Optional I-cache prefetcher: None, "next-line", or "stream"
-        (Section II-E's related-work class, provided as an extension).
-    indirect_predictor:
-        Attach the ITTAGE-lite indirect target predictor (the paper's
-        future-work hook); its accuracy is reported in the result.
     ghrp, sdbp:
         Predictor configurations for the predictive policies.
     random_seed:
@@ -69,8 +63,6 @@ class FrontEndConfig:
     warmup_cap_instructions: int = 200_000
     max_instructions: int | None = None
     wrong_path_depth: int = 0
-    prefetcher: str | None = None
-    indirect_predictor: bool = False
     track_efficiency: bool = False
     ghrp: GHRPConfig = field(default_factory=GHRPConfig.tuned_for_synthetic)
     sdbp: SDBPConfig = field(default_factory=SDBPConfig)
@@ -81,11 +73,6 @@ class FrontEndConfig:
             raise ValueError("warmup_fraction must be in [0, 1]")
         if self.wrong_path_depth < 0:
             raise ValueError("wrong_path_depth must be non-negative")
-        if self.prefetcher not in (None, "next-line", "stream"):
-            raise ValueError(
-                f"prefetcher must be None, 'next-line', or 'stream', "
-                f"got {self.prefetcher!r}"
-            )
 
     @property
     def effective_btb_policy(self) -> str:

@@ -29,13 +29,10 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.policy_api import ReplacementPolicy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.ghrp import GHRPPredictor
-from repro.branch.indirect import IndirectTargetPredictor
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.options import RunOptions, resolve_run_options
 from repro.frontend.results import SimulationResult
 from repro.obs import NULL_OBS, Observability, get_logger
-from repro.prefetch.base import Prefetcher
-from repro.prefetch.engine import PrefetchingICache
 from repro.policies.ghrp_policy import GHRPBTBPolicy, GHRPPolicy
 from repro.policies.registry import make_policy
 from repro.traces.record import BranchRecord, BranchType
@@ -82,8 +79,6 @@ class FrontEnd:
         ras: ReturnAddressStack,
         ghrp: GHRPPredictor | None = None,
         wrong_path_depth: int = 0,
-        prefetcher: Prefetcher | None = None,
-        indirect: IndirectTargetPredictor | None = None,
         obs: Observability = NULL_OBS,
     ):
         self.icache = icache
@@ -99,11 +94,6 @@ class FrontEnd:
         self.wrong_path_accesses = 0
         self.degraded = False
         self.fast_path_fallback_reason: str | None = None
-        self.prefetcher = prefetcher
-        self.indirect = indirect
-        self._icache_port = (
-            PrefetchingICache(icache, prefetcher) if prefetcher is not None else icache
-        )
         self._ghrp_policies = [
             policy
             for policy in (icache.policy, btb.policy)
@@ -242,8 +232,6 @@ class FrontEnd:
         warmup_boundary = rs.warmup_boundary
         instruction_limit = rs.instruction_limit
         icache, btb, direction, ras = self.icache, self.btb, self.direction, self.ras
-        icache_port = self._icache_port
-        indirect = self.indirect
         obs = self.obs
         telemetry = self.telemetry
         block_size = icache.geometry.block_size
@@ -258,7 +246,7 @@ class FrontEnd:
         for chunk in stream:
             start_pc = chunk.start_pc
             for block in chunk.block_addresses(block_size):
-                icache_port.access(block, pc=max(start_pc, block))
+                icache.access(block, pc=max(start_pc, block))
 
             record = chunk.branch
             branch_type = record.branch_type
@@ -271,12 +259,6 @@ class FrontEnd:
                 ras.push(record.pc + 4)
             elif branch_type.is_return:
                 mispredicted = not ras.pop_and_check(record.target)
-
-            if indirect is not None:
-                if branch_type.is_indirect:
-                    if not indirect.predict_and_update(record.pc, record.target):
-                        mispredicted = True
-                indirect.note_branch(record.pc, record.taken)
 
             if record.taken and branch_type.uses_btb:
                 btb_result = btb.access(record.pc, record.target)
@@ -344,7 +326,6 @@ class FrontEnd:
 
     def _collect_result(self, rs: _RunState) -> SimulationResult:
         icache, btb = self.icache, self.btb
-        indirect = self.indirect
         telemetry = None
         if self.telemetry is not None:
             telemetry = self.telemetry.export()
@@ -360,8 +341,6 @@ class FrontEnd:
             target_mispredictions=btb.target_mispredictions,
             ras_underflows=self.ras.underflows,
             wrong_path_accesses=self.wrong_path_accesses,
-            prefetch=self.prefetcher.stats if self.prefetcher is not None else None,
-            indirect=indirect.stats if indirect is not None else None,
             degraded=self.degraded,
             fast_path_fallback_reason=self.fast_path_fallback_reason,
             telemetry=telemetry,
@@ -448,16 +427,6 @@ def build_frontend(
     )
     direction = make_predictor(config.direction_predictor)
     ras = ReturnAddressStack(config.ras_depth)
-    prefetcher: Prefetcher | None = None
-    if config.prefetcher == "next-line":
-        from repro.prefetch.nextline import NextLinePrefetcher
-
-        prefetcher = NextLinePrefetcher(block_size=config.block_size)
-    elif config.prefetcher == "stream":
-        from repro.prefetch.stream import StreamPrefetcher
-
-        prefetcher = StreamPrefetcher(block_size=config.block_size)
-    indirect = IndirectTargetPredictor() if config.indirect_predictor else None
     parts = dict(
         icache=icache,
         btb=btb,
@@ -465,8 +434,6 @@ def build_frontend(
         ras=ras,
         ghrp=ghrp,
         wrong_path_depth=config.wrong_path_depth,
-        prefetcher=prefetcher,
-        indirect=indirect,
         obs=obs,
     )
     if engine == "fast":
@@ -475,9 +442,7 @@ def build_frontend(
         reason = fast_path_unsupported_reason(
             icache,
             btb,
-            prefetcher,
             wrong_path_depth=config.wrong_path_depth,
-            indirect=indirect,
             obs=obs,
         )
         if reason is None:

@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.branch.base import PredictorStats
-from repro.branch.indirect import IndirectStats
 from repro.cache.stats import CacheStats
-from repro.prefetch.base import PrefetchStats
 
 __all__ = ["SimulationResult"]
 
@@ -32,8 +30,6 @@ class SimulationResult:
     target_mispredictions: int
     ras_underflows: int
     wrong_path_accesses: int
-    prefetch: PrefetchStats | None = None
-    indirect: IndirectStats | None = None
     degraded: bool = False
     """True when the fast engine detected a divergence (or a kernel
     crashed) mid-run and the sentinel layer finished the run on the

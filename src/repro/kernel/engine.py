@@ -28,10 +28,10 @@ block.  Per-access event tracing is reference-only.
 The fast path is all-or-nothing per front end and decided once, at build
 time: :func:`fast_path_unsupported_reason` is the single gate, consulted
 by :func:`repro.frontend.engine.build_frontend`.  Anything the batch loop
-does not replay (wrong-path fetch, indirect prediction, event tracing,
-prefetching, efficiency tracking, unregistered policies, predictor
-shapes the executors do not unroll) runs on the reference engine, and
-the reason is recorded as ``fast_path_fallback_reason``.
+does not replay (wrong-path fetch, event tracing, efficiency tracking,
+unregistered policies, predictor shapes the executors do not unroll)
+runs on the reference engine, and the reason is recorded as
+``fast_path_fallback_reason``.
 """
 
 from __future__ import annotations
@@ -56,10 +56,8 @@ __all__ = ["FastFrontEnd", "fast_path_unsupported_reason"]
 def fast_path_unsupported_reason(
     icache,
     btb,
-    prefetcher,
     *,
     wrong_path_depth: int = 0,
-    indirect=None,
     obs=NULL_OBS,
 ) -> str | None:
     """Why this configuration cannot run on the kernel engine (None = it can).
@@ -68,17 +66,13 @@ def fast_path_unsupported_reason(
     registration for every policy's exact class — registering the kernel
     *is* the opt-in — and a policy shape that kernel's executors replay
     (:meth:`~repro.kernel.base.CacheKernel.unsupported_reason`).
-    Prefetching, efficiency tracking, wrong-path fetch, indirect
-    prediction, and per-access event tracing are reference-only features.
+    Efficiency tracking, wrong-path fetch, and per-access event tracing
+    are reference-only features.
     """
     if not HAVE_NUMPY:
         return "the batch loop requires numpy"
-    if prefetcher is not None:
-        return "prefetching is not kernelized"
     if wrong_path_depth > 0:
         return "wrong-path simulation requires the reference engine"
-    if indirect is not None:
-        return "indirect target prediction requires the reference engine"
     if obs.tracer is not None:
         return "event tracing requires the reference engine"
     if icache.efficiency is not None or btb.efficiency is not None:
@@ -113,9 +107,7 @@ class FastFrontEnd(FrontEnd):
         reason = fast_path_unsupported_reason(
             self.icache,
             self.btb,
-            self.prefetcher,
             wrong_path_depth=self.wrong_path_depth,
-            indirect=self.indirect,
             obs=self.obs,
         )
         if reason is not None:

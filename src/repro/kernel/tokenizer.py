@@ -37,6 +37,8 @@ try:  # numpy is optional repo-wide; the batch engine gates on this flag.
 except ImportError:  # pragma: no cover - exercised only without numpy
     _np = None
 
+from repro.traces.reconstruct import _MAX_SEQUENTIAL_GAP
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traces.record import BranchRecord
 
@@ -57,7 +59,6 @@ TOKEN_STREAMS = frozenset(
     {"fetch-stream", "btb-stream", "cond-stream", "ras-stream"}
 )
 
-_MAX_SEQUENTIAL_GAP = 4096  # mirrors repro.traces.reconstruct
 _INSTRUCTION_SHIFT = 2  # 4-byte instructions
 
 

@@ -8,8 +8,8 @@ policies so the library can reproduce the paper's related-work landscape:
   summarized in a block signature associated with that block.  The
   signature is used to index a table of saturating counters.  The
   corresponding counter is incremented when a block is evicted and
-  decremented when a block is reused."  The original used it for
-  prefetch timing in the L1D; here it drives replacement/bypass the same
+  decremented when a block is reused."  The original used it to time
+  L1D fills ahead of demand; here it drives replacement/bypass the same
   way GHRP does, which isolates the *signature formula* difference
   (per-block accumulated trace vs global path history).
 

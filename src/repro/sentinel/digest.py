@@ -112,7 +112,7 @@ def _ras_digest(ras) -> dict:
 def frontend_digest(frontend) -> dict:
     """The canonical mutable state of ``frontend`` as a nested dict."""
     btb = frontend.btb
-    digest = {
+    return {
         "icache": _cache_digest(frontend.icache),
         "btb": {
             "cache": _cache_digest(btb._cache),
@@ -123,9 +123,6 @@ def frontend_digest(frontend) -> dict:
         "ras": _ras_digest(frontend.ras),
         "wrong_path_accesses": frontend.wrong_path_accesses,
     }
-    if frontend.indirect is not None:
-        digest["indirect"] = _stats_digest(frontend.indirect.stats)
-    return digest
 
 
 def canonical_fingerprint(payload, *, length: int | None = None) -> str:

@@ -71,7 +71,7 @@ def _seed_memo(memo: dict, parts, obs) -> None:
     """
     memo[id(obs)] = NULL_OBS
     memo[id(NULL_OBS)] = NULL_OBS
-    icache, btb, _direction, _ras, ghrp, _indirect = parts
+    icache, btb, _direction, _ras, ghrp = parts
     banks = [getattr(icache.policy, "tables", None), getattr(btb.policy, "tables", None)]
     if ghrp is not None:
         banks.append(ghrp.tables)
@@ -93,7 +93,6 @@ def take_snapshot(frontend, rs) -> EngineSnapshot:
         frontend.direction,
         frontend.ras,
         frontend.ghrp,
-        frontend.indirect,
     )
     memo: dict = {}
     _seed_memo(memo, parts, frontend.obs)
@@ -113,7 +112,7 @@ def clone_snapshot(snapshot: EngineSnapshot) -> EngineSnapshot:
 
 
 def _build_engine(engine_cls, snapshot, *, wrong_path_depth, obs):
-    icache, btb, direction, ras, ghrp, indirect = snapshot.parts
+    icache, btb, direction, ras, ghrp = snapshot.parts
     engine = engine_cls(
         icache=icache,
         btb=btb,
@@ -121,8 +120,6 @@ def _build_engine(engine_cls, snapshot, *, wrong_path_depth, obs):
         ras=ras,
         ghrp=ghrp,
         wrong_path_depth=wrong_path_depth,
-        prefetcher=None,
-        indirect=indirect,
         obs=obs,
     )
     engine.wrong_path_accesses = snapshot.wrong_path_accesses
@@ -404,7 +401,6 @@ class _Verifier:
         frontend.direction = takeover.direction
         frontend.ras = takeover.ras
         frontend.ghrp = takeover.ghrp
-        frontend.indirect = takeover.indirect
         frontend.wrong_path_accesses = takeover.wrong_path_accesses
         frontend.degraded = True
         return takeover._finish_run(trs)

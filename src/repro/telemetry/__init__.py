@@ -1,4 +1,4 @@
-"""Interval telemetry, exporters, profiling, and the perf ledger.
+"""Interval telemetry, exporters, and the perf ledger.
 
 This package is the observability layer *above* :mod:`repro.obs`: where
 ``obs`` collects end-of-run aggregates with zero hot-path cost, telemetry
@@ -11,8 +11,6 @@ adds the time axis —
   export of a finished run's registry + interval series;
 - :mod:`repro.telemetry.manifest` — the JSON run-manifest (config
   digest, engine, seed, spans, git revision);
-- :mod:`repro.telemetry.profiler` — a sampling profiler attributing main
-  loop self-time to tokenize/lookup/update/sync phases;
 - :mod:`repro.telemetry.bench` — the BENCH_HISTORY.jsonl perf ledger and
   the ``bench-diff`` comparison behind the CI annotation step.
 
@@ -35,7 +33,6 @@ from repro.telemetry.manifest import (
     write_run_manifest,
 )
 from repro.telemetry.openmetrics import render_openmetrics
-from repro.telemetry.profiler import LoopProfiler, ProfileReport, render_profile
 
 __all__ = [
     "TelemetryConfig",
@@ -45,9 +42,6 @@ __all__ = [
     "build_run_manifest",
     "write_run_manifest",
     "config_digest",
-    "LoopProfiler",
-    "ProfileReport",
-    "render_profile",
     "append_bench_history",
     "read_bench_history",
     "diff_bench_entries",

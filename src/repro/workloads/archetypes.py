@@ -70,7 +70,7 @@ ARCHETYPES: dict[str, WorkloadSpec] = {
         calls_per_phase_visit=1,
     ),
     # Indirect-heavy polymorphic dispatch (interpreter/JIT-flavoured):
-    # stresses the BTB and the indirect target predictor.
+    # stresses the BTB's target storage.
     "polymorphic-dispatch": WorkloadSpec(
         category=Category.LONG_SERVER,
         code_footprint_bytes=256 * 1024,

@@ -564,10 +564,10 @@ class TestLeaseRelease:
 # Shipped-tree self-check + CLI surface
 # ----------------------------------------------------------------------
 class TestFlowTier:
-    def test_shipped_tree_is_flow_clean(self):
-        result = LintEngine([REPRO_PACKAGE], rules=FLOW_RULES).run()
-        assert result.findings == []
-        assert set(result.rules_run) == set(FLOW_RULES)
+    def test_shipped_tree_is_flow_clean(self, shipped_tree_lint):
+        flow = [f for f in shipped_tree_lint.findings if f.rule in FLOW_RULES]
+        assert flow == []
+        assert set(FLOW_RULES) <= set(shipped_tree_lint.rules_run)
 
     def test_tier_flag_partitions_tiers(self, tmp_path, capsys):
         target = tmp_path / "experiments" / "mod.py"

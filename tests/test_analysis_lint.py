@@ -15,6 +15,7 @@ import pytest
 
 import repro
 from repro.analysis.lint import LintEngine, all_rules
+from repro.analysis.lint.core import KERNEL_DIR_NAMES
 from repro.cli import main
 
 REPRO_PACKAGE = Path(repro.__file__).resolve().parent
@@ -190,7 +191,7 @@ class TestEnvironRead:
     def test_getenv_flagged(self, tmp_path):
         result = lint_snippet(
             tmp_path,
-            "prefetch/mod.py",
+            "branch/mod.py",
             "import os\n\ndef depth():\n    return os.getenv('DEPTH', '4')\n",
         )
         assert rule_ids(result) == ["det-environ-read"]
@@ -690,6 +691,14 @@ class TestServiceScope:
         ]
 
 
+class TestKernelScope:
+    def test_every_kernel_dir_name_is_a_package(self):
+        # A scope entry naming no package matches nothing, so deleting a
+        # package must take its entry with it.
+        for name in KERNEL_DIR_NAMES:
+            assert (REPRO_PACKAGE / name / "__init__.py").is_file(), name
+
+
 class TestProjectRules:
     def test_policy_abc_clean_on_shipped_registry(self):
         result = LintEngine([REPRO_PACKAGE], rules=["contract-policy-abc"]).run()
@@ -823,9 +832,9 @@ class TestFramework:
 # CLI and the shipped-tree gate
 # ----------------------------------------------------------------------
 class TestCheckCommand:
-    def test_shipped_tree_is_clean(self):
-        """The acceptance gate: `repro-sim check src/repro` exits 0."""
-        assert main(["check", str(REPRO_PACKAGE)]) == 0
+    def test_shipped_tree_is_clean(self, shipped_tree_lint):
+        """The acceptance gate: `repro-sim check src/repro` finds no error."""
+        assert shipped_tree_lint.errors == []
 
     def test_violation_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "cache" / "mod.py"

@@ -19,6 +19,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--policy", "nope"])
 
+    @pytest.mark.parametrize("command", ["timing", "profile"])
+    def test_removed_subcommands_rejected(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+
 
 class TestCommands:
     def test_simulate_synthetic(self, capsys):
@@ -57,21 +62,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "GHRP storage" in out
         assert "SDBP storage" in out
-
-    def test_timing(self, capsys):
-        code = main(
-            [
-                "timing",
-                "--category", "short-mobile",
-                "--seed", "1",
-                "--trace-scale", "0.03",
-                "--policy", "lru",
-                "--icache-kb", "8",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "CPI" in out and "icache MPKI" in out
 
     def test_characterize(self, capsys):
         code = main(

@@ -25,7 +25,6 @@ class TestDeliverablesPresent:
             "writing_policies.md",
             "ghrp_algorithm.md",
             "workload_generator.md",
-            "timing_model.md",
             "trace_format.md",
         } <= docs
 

@@ -29,7 +29,6 @@ class TestCompile:
             "btb_study.py",
             "custom_policy.py",
             "efficiency_heatmap.py",
-            "timing_study.py",
             "workload_characterization.py",
         } <= names
 

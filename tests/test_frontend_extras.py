@@ -1,5 +1,5 @@
-"""Additional front-end coverage: config-driven warm-up, indirect
-integration, and the experiments-runner warm-up rule."""
+"""Additional front-end coverage: config-driven warm-up and the
+experiments-runner warm-up rule."""
 
 import pytest
 
@@ -34,26 +34,6 @@ class TestConfigWarmup:
             workload.records(), RunOptions.from_config_warmup(config, total)
         )
         assert result.warmup_instructions == pytest.approx(total * 0.1, rel=0.1)
-
-
-class TestIndirectIntegration:
-    def test_indirect_stats_present_when_enabled(self, workload):
-        frontend = build_frontend(FrontEndConfig(indirect_predictor=True))
-        result = frontend.run(workload.records(), warmup_instructions=0)
-        assert result.indirect is not None
-        assert result.indirect.predictions > 0
-
-    def test_indirect_absent_by_default(self, workload):
-        frontend = build_frontend(FrontEndConfig())
-        result = frontend.run(workload.records(), warmup_instructions=0)
-        assert result.indirect is None
-
-    def test_indirect_beats_nothing_baseline(self, workload):
-        """The predictor must resolve a meaningful fraction of indirect
-        targets (the suite's indirects are Zipf-dominated)."""
-        frontend = build_frontend(FrontEndConfig(indirect_predictor=True))
-        result = frontend.run(workload.records(), warmup_instructions=0)
-        assert result.indirect.accuracy > 0.4
 
 
 class TestRunnerWarmupRule:

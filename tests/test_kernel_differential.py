@@ -156,10 +156,6 @@ GATE_CASES = [
         FrontEndConfig(icache_policy="ghrp", btb_policy="lru", wrong_path_depth=3),
         None, False, "wrong-path", id="wrong-path-mixed",
     ),
-    pytest.param(
-        FrontEndConfig(**GHRP, indirect_predictor=True),
-        None, False, "indirect", id="indirect-predictor",
-    ),
     pytest.param(FrontEndConfig(**GHRP), None, True, "tracing", id="event-tracer"),
     pytest.param(
         FrontEndConfig(**GHRP, ghrp=GHRPConfig(aggregation="sum")),
@@ -271,13 +267,6 @@ class TestFastPathFallback:
     def test_unkernelized_policy_falls_back(self):
         frontend = build_frontend(
             FrontEndConfig(icache_policy="random"), engine="fast"
-        )
-        assert type(frontend) is FrontEnd
-
-    def test_prefetcher_falls_back(self):
-        frontend = build_frontend(
-            FrontEndConfig(icache_policy="lru", prefetcher="next-line"),
-            engine="fast",
         )
         assert type(frontend) is FrontEnd
 

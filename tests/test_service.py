@@ -127,6 +127,10 @@ class TestJobSpec:
             lambda p: p.update(engine="quantum"),
             lambda p: p.update(verify="maybe"),
             lambda p: p.update(config={"no_such_knob": 1}),
+            # Fields removed in 1.2.0: a journaled job naming one no
+            # longer validates, so replay skips it.
+            lambda p: p.update(config={"prefetcher": "next-line"}),
+            lambda p: p.update(config={"indirect_predictor": True}),
             lambda p: p["workloads"][0].update(category="desktop"),
             lambda p: p["workloads"][0].update(seed=True),
             lambda p: p["workloads"][0].update(trace_scale=0),

@@ -1,8 +1,8 @@
 """Tests for the interval-telemetry pipeline (repro.telemetry).
 
 Covers the recorder itself (sample math, the ring buffer, heatmap
-accumulators), the OpenMetrics exporter, the run manifest, the sampling
-profiler, the perf-regression ledger + ``bench-diff``, and the CLI
+accumulators), the OpenMetrics exporter, the run manifest, the
+perf-regression ledger + ``bench-diff``, and the CLI
 surfaces that tie them together.  The byte-identical-when-off contract
 is proved separately in ``test_telemetry_differential.py``.
 """
@@ -25,14 +25,12 @@ from repro.telemetry import (
     read_bench_history,
     render_bench_diff,
     render_openmetrics,
-    render_profile,
     write_run_manifest,
 )
 from repro.telemetry.bench import PolicyDiff
 from repro.telemetry.interval import TELEMETRY_SCHEMA
 from repro.telemetry.manifest import MANIFEST_SCHEMA
 from repro.telemetry.openmetrics import sanitize_metric_name
-from repro.telemetry.profiler import PHASES, LoopProfiler, profile_call
 from repro.workloads.spec import Category
 from repro.workloads.suite import make_workload
 
@@ -241,56 +239,6 @@ class TestRunManifest:
         assert config_digest(first) != config_digest(changed)
 
 
-class TestProfiler:
-    def test_phases_and_report(self):
-        def busy():
-            total = 0
-            for i in range(2_000_000):
-                total += i
-            return total
-
-        report = profile_call(busy, interval_seconds=0.001)[1]
-        assert report.total >= 1
-        assert set(report.samples) <= set(PHASES)
-        assert sum(report.samples.values()) == report.total
-        assert report.seconds > 0
-        text = render_profile(report)
-        assert "samples" in text
-        data = report.to_dict()
-        assert data["total"] == report.total
-        assert set(data["samples"]) == set(PHASES)
-
-    def test_custom_phase_map(self):
-        profiler = LoopProfiler(
-            interval_seconds=0.001,
-            phase_map=((("update", None, ("busy",)),)),
-        )
-        def busy():
-            total = 0
-            for i in range(2_000_000):
-                total += i
-            return total
-        with profiler:
-            busy()
-        report = profiler.report()
-        # Under load the sampler may observe few (or zero) frames, so
-        # either phase can be absent from the dict — compare defensively.
-        assert report.samples.get("update", 0) >= \
-            report.samples.get("other", 0) or report.total == 0
-
-    def test_engine_loop_classifies_mostly_known_phases(self):
-        workload = _small_workload()
-        config = FrontEndConfig(icache_policy="lru")
-        from repro.experiments.runner import run_workload
-        profiler = LoopProfiler(interval_seconds=0.001)
-        with profiler:
-            run_workload(workload, config, engine="fast")
-        report = profiler.report()
-        if report.total:
-            known = report.total - report.samples.get("other", 0)
-            assert known / report.total > 0.5
-
-
 class TestBenchLedger:
     @staticmethod
     def _report(scale=1.0):
@@ -371,20 +319,6 @@ class TestTelemetryCli:
         text = om_path.read_text()
         assert text.endswith("# EOF\n")
         assert "repro_interval_icache_mpki" in text
-
-    def test_profile_command(self, tmp_path, capsys):
-        out = tmp_path / "prof.json"
-        code = main(
-            ["profile", *self.WORKLOAD_ARGS, "--policy", "lru",
-             "--engine", "fast", "--sample-hz", "1000",
-             "--out", str(out)]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "tokenize" in printed
-        data = json.loads(out.read_text())
-        assert data["engine"] == "fast"
-        assert set(data["samples"]) == set(PHASES)
 
     def test_bench_diff_exit_codes(self, tmp_path, capsys):
         history = tmp_path / "BENCH_HISTORY.jsonl"
