@@ -8,14 +8,16 @@ average there is a 33% reduction in MPKI using GHRP compared to LRU."
 The relative difference for trace *t* is ``(mpki_policy - mpki_lru) /
 mpki_lru``; traces where the reference MPKI is ~0 are excluded (the ratio
 is undefined there, and those traces are insensitive to replacement).
+
+scipy supplies the t quantile and is imported inside
+:func:`relative_difference_ci`, not here: ``repro.stats`` sits on the
+import path of every sweep, and only a Figure 8 interval needs scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import stats as scipy_stats
 
 from repro.stats.mpki import MPKITable
 
@@ -71,6 +73,8 @@ def relative_difference_ci(
         return RelativeDifference(policy, reference, mean, mean, mean, 1)
     variance = sum((d - mean) ** 2 for d in differences) / (n - 1)
     stderr = math.sqrt(variance / n)
+    from scipy import stats as scipy_stats  # deferred: see the module docstring
+
     t_crit = float(scipy_stats.t.ppf((1 + confidence) / 2, df=n - 1))
     return RelativeDifference(
         policy=policy,

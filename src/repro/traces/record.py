@@ -38,11 +38,6 @@ class BranchType(enum.IntEnum):
         return self in (BranchType.CALL, BranchType.INDIRECT_CALL)
 
     @property
-    def is_indirect(self) -> bool:
-        """Indirect transfers have register-computed targets (returns excluded)."""
-        return self in (BranchType.INDIRECT, BranchType.INDIRECT_CALL)
-
-    @property
     def is_return(self) -> bool:
         return self is BranchType.RETURN
 

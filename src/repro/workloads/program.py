@@ -182,13 +182,23 @@ class BranchNode:
 
 @dataclass(slots=True)
 class LoweredProgram:
-    """The walker's view of a program: flat branch-node graph."""
+    """The walker's view of a program: flat branch-node graph.
+
+    It holds everything a walk, a footprint or a layout check reads, and
+    nothing of the statement tree it was lowered from, so a workload can
+    keep this alone once its program is built.
+    """
 
     nodes: dict[int, BranchNode]
     sorted_pcs: list[int]
     entry_addresses: dict[int, int]
     code_size_bytes: int
     base_address: int
+
+    @property
+    def main_entry(self) -> int:
+        """Entry address of function 0, the program's ``main``."""
+        return self.entry_addresses[0]
 
     def next_branch_at_or_after(self, address: int) -> BranchNode:
         """The first branch instruction at or after ``address``.
@@ -221,11 +231,6 @@ class Program:
         self.functions = functions
         self.base_address = base_address
         self._lowered: LoweredProgram | None = None
-
-    @property
-    def main(self) -> ProgramFunction:
-        """Function 0 is the program's entry by convention."""
-        return self.functions[0]
 
     def layout(self) -> LoweredProgram:
         """Assign addresses and lower to branch nodes (cached)."""
@@ -371,7 +376,3 @@ class Program:
             base_address=self.base_address,
         )
         return self._lowered
-
-    @property
-    def code_size_bytes(self) -> int:
-        return self.layout().code_size_bytes

@@ -1,7 +1,8 @@
 """Named workloads and the benchmark suite.
 
-A :class:`Workload` is an identity — name, seed and spec — whose program
-is built on first use and whose record stream replays deterministically;
+A :class:`Workload` is an identity — name, seed and spec — whose lowered
+program is built on first use and whose record stream replays
+deterministically;
 :func:`make_suite` manufactures the repository's stand-in
 for the paper's 662-trace CBP-5 suite — a deterministic set of workloads
 spread over the four categories, sized by a scale factor so the full
@@ -17,7 +18,7 @@ from repro.traces.record import BranchRecord
 from repro.traces.reconstruct import FetchBlockStream
 from repro.util.rng import DeterministicRng, derive_seed
 from repro.workloads.builder import build_program
-from repro.workloads.program import Program
+from repro.workloads.program import LoweredProgram
 from repro.workloads.spec import Category, WorkloadSpec, spec_for_category
 from repro.workloads.walker import ProgramWalker
 
@@ -46,14 +47,17 @@ class Workload:
     stream and the instruction count are pure functions of those three,
     so they stay out of ``__eq__`` and are derived on first use.  A
     workload that is only looked up — e.g. a cell already in the cache —
-    never builds its program.
+    never builds its program.  A built workload keeps only the lowered
+    program (the branch-node graph the walker reads); the statement
+    tree it was lowered from is dropped, so no garbage collection walks
+    it.
     """
 
     name: str
     spec: WorkloadSpec
     seed: int
     _instruction_count: int | None = field(default=None, repr=False, compare=False)
-    _program: Program | None = field(
+    _lowered: LoweredProgram | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _records: list[BranchRecord] | None = field(
@@ -65,13 +69,13 @@ class Workload:
         return self.spec.category
 
     @property
-    def program(self) -> Program:
-        """The synthetic program, built from the spec on first use."""
-        if self._program is None:
-            self._program = build_program(
+    def lowered(self) -> LoweredProgram:
+        """The lowered program, built from the spec on first use."""
+        if self._lowered is None:
+            self._lowered = build_program(
                 self.spec, derive_seed(self.seed, "program", self.name)
-            )
-        return self._program
+            ).layout()
+        return self._lowered
 
     def records(self, limit: int | None = None) -> Iterator[BranchRecord]:
         """A fresh, deterministic branch-record stream.
@@ -94,7 +98,7 @@ class Workload:
         return self._walk_and_memoize(budget)
 
     def _walk(self, limit: int) -> Iterator[BranchRecord]:
-        walker = ProgramWalker(self.program, derive_seed(self.seed, "walk"))
+        walker = ProgramWalker(self.lowered, derive_seed(self.seed, "walk"))
         return walker.records(limit)
 
     def _walk_and_memoize(self, budget: int) -> Iterator[BranchRecord]:
@@ -109,7 +113,7 @@ class Workload:
 
     @property
     def code_footprint_bytes(self) -> int:
-        return self.program.code_size_bytes
+        return self.lowered.code_size_bytes
 
     def instruction_count(self) -> int:
         """Total reconstructed instructions in the full trace (cached).
@@ -186,7 +190,7 @@ def make_workload(
         ),
         seed=seed,
     )
-    workload.program  # build now: callers get a built workload
+    workload.lowered  # build now: callers get a built workload
     return workload
 
 

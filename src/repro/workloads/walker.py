@@ -1,7 +1,8 @@
 """The program walker: interprets a lowered program into a branch trace.
 
 The walk is a tight, non-recursive loop over the branch-node graph
-produced by :meth:`repro.workloads.program.Program.layout`:
+(:class:`~repro.workloads.program.LoweredProgram`) produced by
+:meth:`repro.workloads.program.Program.layout`:
 
 1. find the next branch at or after the current address,
 2. resolve its outcome (biased coin, loop counter, weighted indirect
@@ -11,7 +12,7 @@ produced by :meth:`repro.workloads.program.Program.layout`:
 
 When ``main`` returns with an empty call stack, the program is restarted,
 so a walker can emit an arbitrarily long trace.  The walk is a pure
-function of (program, seed): re-walking yields the identical record
+function of (lowered program, seed): re-walking yields the identical record
 sequence, which is how one workload is replayed for every policy.
 """
 
@@ -21,7 +22,7 @@ from collections.abc import Iterator
 
 from repro.traces.record import BranchRecord, BranchType
 from repro.util.rng import DeterministicRng
-from repro.workloads.program import Program
+from repro.workloads.program import LoweredProgram
 
 __all__ = ["ProgramWalker"]
 
@@ -30,21 +31,20 @@ _MAX_CALL_STACK = 256
 
 
 class ProgramWalker:
-    """Deterministic trace generator for a synthetic program."""
+    """Deterministic trace generator for a lowered synthetic program."""
 
-    def __init__(self, program: Program, seed: int):
-        self.program = program
+    def __init__(self, lowered: LoweredProgram, seed: int):
+        self.lowered = lowered
         self.seed = seed
-        self._lowered = program.layout()
 
     def records(self, limit: int) -> Iterator[BranchRecord]:
         """Yield exactly ``limit`` branch records (restarting as needed)."""
         if limit <= 0:
             raise ValueError(f"limit must be positive, got {limit}")
         rng = DeterministicRng(self.seed)
-        lowered = self._lowered
+        lowered = self.lowered
         next_branch = lowered.next_branch_at_or_after
-        main_entry = lowered.entry_addresses[self.program.main.index]
+        main_entry = lowered.main_entry
 
         # One record object per distinct (pc, taken, target): a node's pc
         # fixes its branch type, so the key identifies the record.  Reusing

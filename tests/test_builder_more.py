@@ -22,7 +22,7 @@ def spec_with(**overrides):
 
 
 def walks_cleanly(program, n=600):
-    stream = FetchBlockStream(ProgramWalker(program, seed=1).records(n))
+    stream = FetchBlockStream(ProgramWalker(program.layout(), seed=1).records(n))
     for _ in stream:
         pass
     return stream.resync_count == 0

@@ -14,9 +14,12 @@ from repro.frontend.config import FrontEndConfig
 from repro.workloads.spec import Category
 
 
+POLICIES = ("lru", "random", "srrip", "sdbp", "ghrp")
+
+
 @pytest.fixture(scope="module")
-def server_grid():
-    """Five-policy grid on two capacity-pressured server suite members.
+def server_workloads():
+    """Two capacity-pressured server suite members.
 
     Full-length traces: GHRP is an online learner, so truncated traces
     would measure its warm-up, not its steady state.
@@ -27,7 +30,30 @@ def server_grid():
     workloads = [suite[0], suite[2]]
     workloads[0].name = "srv-a"
     workloads[1].name = "srv-b"
-    return run_grid(workloads, ("lru", "random", "srrip", "sdbp", "ghrp"), FrontEndConfig())
+    return workloads
+
+
+@pytest.fixture(scope="module")
+def server_grid(server_workloads):
+    """Five-policy grid on the batched engine.
+
+    Its results are bit-identical to the reference engine's; SRRIP and
+    Random have no kernel and fall back to the reference engine.
+    """
+    return run_grid(server_workloads, POLICIES, FrontEndConfig(), engine="fast")
+
+
+class TestReferenceOracle:
+    def test_reference_engine_keeps_the_shape(self, server_workloads, server_grid):
+        """The reference engine is the oracle: pin its GHRP < LRU shape on
+        one workload, and that the batched grid above reproduces it."""
+        grid = run_grid(server_workloads[:1], ("lru", "ghrp"), FrontEndConfig())
+        assert grid.icache.mean("ghrp") < grid.icache.mean("lru")
+        for policy in ("lru", "ghrp"):
+            reference, fast = grid.cell(policy, "srv-a"), server_grid.cell(policy, "srv-a")
+            assert (reference.icache_misses, reference.btb_misses) == (
+                fast.icache_misses, fast.btb_misses
+            )
 
 
 class TestICacheShape:
@@ -81,13 +107,13 @@ class TestInstrumentsAgree:
         for workload in ("srv-a", "srv-b"):
             instructions = {
                 server_grid.cell(policy, workload).instructions
-                for policy in ("lru", "random", "srrip", "sdbp", "ghrp")
+                for policy in POLICIES
             }
             assert len(instructions) == 1
 
     def test_direction_accuracy_policy_independent(self, server_grid):
         accuracies = {
             round(server_grid.cell(policy, "srv-a").direction_accuracy, 6)
-            for policy in ("lru", "random", "srrip", "sdbp", "ghrp")
+            for policy in POLICIES
         }
         assert len(accuracies) == 1

@@ -153,7 +153,7 @@ class TestJobSpec:
         first, second = spec.build_workloads(), spec.build_workloads()
         assert first == second
         # Identity only: nothing is built until a cell needs the program.
-        assert all(w._program is None for w in first + second)
+        assert all(w._lowered is None for w in first + second)
         built = make_workload("short-mobile-7", Category.SHORT_MOBILE, seed=7,
                               trace_scale=0.02, footprint_scale=0.3)
         assert first == [built]

@@ -54,7 +54,6 @@ class TestBranchRecord:
         assert BranchType.CONDITIONAL.is_conditional
         assert BranchType.CALL.is_call
         assert BranchType.INDIRECT_CALL.is_call
-        assert BranchType.INDIRECT.is_indirect
         assert BranchType.RETURN.is_return
         assert not BranchType.RETURN.uses_btb
         assert BranchType.CONDITIONAL.uses_btb

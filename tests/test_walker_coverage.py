@@ -23,7 +23,7 @@ class TestNodeKinds:
         program = one_function_program(
             [Loop(body=[Run(1)], trip_count=None, mean_iterations=3.0)]
         )
-        records = list(ProgramWalker(program, seed=5).records(200))
+        records = list(ProgramWalker(program.layout(), seed=5).records(200))
         conditionals = [r for r in records if r.branch_type is BranchType.CONDITIONAL]
         assert any(not r.taken for r in conditionals)  # loop exits happen
         assert any(r.taken for r in conditionals)      # and iterations happen
@@ -32,7 +32,7 @@ class TestNodeKinds:
         program = one_function_program(
             [If(bias=0.5, then_body=[Run(2)], else_body=[Run(3)])]
         )
-        records = list(ProgramWalker(program, seed=1).records(400))
+        records = list(ProgramWalker(program.layout(), seed=1).records(400))
         jumps = [r for r in records if r.branch_type is BranchType.UNCONDITIONAL]
         conds = [r for r in records if r.branch_type is BranchType.CONDITIONAL]
         # Then-path executions emit the skip jump; else-path do not.
@@ -44,7 +44,7 @@ class TestNodeKinds:
             [Loop(body=[Switch(cases=[[Run(1)], [Run(2)], [Run(3)]],
                                weights=[1.0, 1.0, 1.0])], trip_count=50)]
         )
-        records = list(ProgramWalker(program, seed=2).records(300))
+        records = list(ProgramWalker(program.layout(), seed=2).records(300))
         targets = {
             r.target for r in records if r.branch_type is BranchType.INDIRECT
         }
@@ -62,7 +62,7 @@ class TestNodeKinds:
                        trip_count=20)],
         )
         program = Program([main] + callees, base_address=0)
-        records = list(ProgramWalker(program, seed=3).records(200))
+        records = list(ProgramWalker(program.layout(), seed=3).records(200))
         stack = []
         for record in records:
             if record.branch_type.is_call:
@@ -78,7 +78,7 @@ class TestNodeKinds:
 class TestRestart:
     def test_program_restarts_after_main_returns(self):
         program = one_function_program([Run(2)])
-        records = list(ProgramWalker(program, seed=1).records(5))
+        records = list(ProgramWalker(program.layout(), seed=1).records(5))
         # main is just a return node executed over and over.
         assert all(r.branch_type is BranchType.RETURN for r in records)
         entry = program.layout().entry_addresses[0]
@@ -86,7 +86,7 @@ class TestRestart:
 
     def test_loop_counters_reset_on_restart(self):
         program = one_function_program([Loop(body=[Run(1)], trip_count=3)])
-        records = list(ProgramWalker(program, seed=1).records(8))
+        records = list(ProgramWalker(program.layout(), seed=1).records(8))
         conds = [r.taken for r in records if r.branch_type is BranchType.CONDITIONAL]
         # Pattern per program run: T T N; restart repeats it identically.
         assert conds[:6] == [True, True, False, True, True, False]

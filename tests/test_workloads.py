@@ -1,7 +1,12 @@
 """Tests for the synthetic workload generator."""
 
 import itertools
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +20,7 @@ from repro.workloads.program import (
     Call,
     If,
     Loop,
+    LoweredProgram,
     Program,
     ProgramFunction,
     Run,
@@ -26,6 +32,8 @@ from repro.experiments.content import cell_digest
 from repro.frontend.config import FrontEndConfig
 from repro.workloads.suite import Workload, make_suite, make_workload, workload_spec
 from repro.workloads.walker import ProgramWalker
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def tiny_spec(**overrides):
@@ -144,7 +152,7 @@ class TestBuilder:
         spec = tiny_spec()
         a = build_program(spec, seed=5)
         b = build_program(spec, seed=5)
-        assert a.code_size_bytes == b.code_size_bytes
+        assert a.layout().code_size_bytes == b.layout().code_size_bytes
         assert len(a.functions) == len(b.functions)
 
     def test_different_seeds_differ(self):
@@ -156,11 +164,13 @@ class TestBuilder:
     def test_footprint_near_target(self):
         spec = tiny_spec(code_footprint_bytes=32 * 1024)
         program = build_program(spec, seed=1)
-        assert 0.5 <= program.code_size_bytes / spec.code_footprint_bytes <= 2.5
+        assert 0.5 <= program.layout().code_size_bytes / spec.code_footprint_bytes <= 2.5
 
     def test_main_is_function_zero(self):
         program = build_program(tiny_spec(), seed=1)
-        assert program.main.name == "main"
+        main = program.functions[0]
+        assert main.name == "main"
+        assert program.layout().main_entry == main.entry_address
 
     def test_call_graph_targets_valid(self):
         program = build_program(tiny_spec(), seed=2)
@@ -174,25 +184,25 @@ class TestBuilder:
 class TestWalker:
     def test_exact_budget(self):
         program = build_program(tiny_spec(), seed=3)
-        records = list(ProgramWalker(program, seed=1).records(500))
+        records = list(ProgramWalker(program.layout(), seed=1).records(500))
         assert len(records) == 500
 
     def test_deterministic_replay(self):
         program = build_program(tiny_spec(), seed=3)
-        a = list(ProgramWalker(program, seed=1).records(500))
-        b = list(ProgramWalker(program, seed=1).records(500))
+        a = list(ProgramWalker(program.layout(), seed=1).records(500))
+        b = list(ProgramWalker(program.layout(), seed=1).records(500))
         assert a == b
 
     def test_calls_and_returns_balance(self):
         program = build_program(tiny_spec(), seed=3)
-        records = list(ProgramWalker(program, seed=1).records(3000))
+        records = list(ProgramWalker(program.layout(), seed=1).records(3000))
         calls = sum(1 for r in records if r.branch_type.is_call)
         returns = sum(1 for r in records if r.branch_type.is_return)
         assert abs(calls - returns) <= 64  # bounded by live stack depth
 
     def test_returns_target_call_sites(self):
         program = build_program(tiny_spec(), seed=3)
-        records = ProgramWalker(program, seed=1).records(3000)
+        records = ProgramWalker(program.layout(), seed=1).records(3000)
         stack = []
         for record in records:
             if record.branch_type.is_call:
@@ -204,7 +214,7 @@ class TestWalker:
         """The walker's output must reconstruct without resyncs: targets
         and fall-throughs are always consistent."""
         program = build_program(tiny_spec(), seed=4)
-        stream = FetchBlockStream(ProgramWalker(program, seed=1).records(3000))
+        stream = FetchBlockStream(ProgramWalker(program.layout(), seed=1).records(3000))
         for _ in stream:
             pass
         assert stream.resync_count == 0
@@ -216,7 +226,7 @@ class TestWalker:
             )
         ]
         program = Program(functions, base_address=0)
-        records = list(ProgramWalker(program, seed=1).records(8))
+        records = list(ProgramWalker(program.layout(), seed=1).records(8))
         # Pattern per program run: T T T N (4 iterations) then restart.
         loop_records = [r for r in records if r.branch_type is BranchType.CONDITIONAL]
         directions = [r.taken for r in loop_records[:4]]
@@ -225,7 +235,7 @@ class TestWalker:
     def test_rejects_nonpositive_limit(self):
         program = build_program(tiny_spec(), seed=3)
         with pytest.raises(ValueError):
-            list(ProgramWalker(program, seed=1).records(0))
+            list(ProgramWalker(program.layout(), seed=1).records(0))
 
 
 class TestSuite:
@@ -268,7 +278,8 @@ class TestSuite:
 
 class TestIdentityOnlyWorkload:
     """``Workload(name, workload_spec(...), seed)`` is ``make_workload``'s
-    workload with the program build deferred to first use."""
+    workload with the program build deferred to first use; either one,
+    once built, keeps only the lowered program."""
 
     @pytest.mark.parametrize("jitter", [True, False])
     @pytest.mark.parametrize("category", list(Category))
@@ -277,23 +288,70 @@ class TestIdentityOnlyWorkload:
         built = make_workload("w", category, seed=11, **args)
         lazy = Workload("w", workload_spec("w", category, seed=11, **args), 11)
         config = FrontEndConfig()
+        digest = cell_digest(built, "ghrp", config)
         assert lazy == built
-        assert cell_digest(lazy, "ghrp", config) == cell_digest(built, "ghrp", config)
-        assert lazy._program is None  # equality and digests read identity only
+        assert cell_digest(lazy, "ghrp", config) == digest
+        assert lazy._lowered is None  # equality and digests read identity only
         clone = pickle.loads(pickle.dumps(lazy, protocol=pickle.HIGHEST_PROTOCOL))
-        assert clone == built and clone._program is None
+        assert clone == built and clone._lowered is None
         assert list(lazy.records()) == list(built.records())
         assert lazy.instruction_count() == built.instruction_count()
         assert lazy.code_footprint_bytes == built.code_footprint_bytes
         assert list(clone.records()) == list(built.records())
+        # Built, both hold the lowered graph alone, with the same digest.
+        assert type(built._lowered) is LoweredProgram
+        assert type(lazy._lowered) is LoweredProgram
+        assert cell_digest(lazy, "ghrp", config) == digest
+        built_clone = pickle.loads(
+            pickle.dumps(built, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert built_clone == built
+        assert type(built_clone._lowered) is LoweredProgram
+        assert list(built_clone.records()) == list(built.records())
+        assert built_clone.code_footprint_bytes == built.code_footprint_bytes
+
+    def test_built_workloads_keep_no_statement_tree(self):
+        """No statement-tree node outlives a build, for every category with
+        jitter on and off.  Counted in a fresh interpreter, where no other
+        test's programs are alive."""
+        script = textwrap.dedent("""
+            import gc
+            from repro.workloads import program
+            from repro.workloads.spec import Category
+            from repro.workloads.suite import make_workload
+
+            tree = (program.Run, program.If, program.Loop, program.Call,
+                    program.IndirectCall, program.Switch,
+                    program.ProgramFunction, program.Program)
+            workloads = [
+                make_workload(f"w{i}", category, seed=11, trace_scale=0.02,
+                              footprint_scale=0.3, jitter=jitter)
+                for i, (category, jitter) in enumerate(
+                    (c, j) for c in Category for j in (True, False))
+            ]
+            gc.collect()
+            objects = gc.get_objects()
+            print(sum(isinstance(o, tree) for o in objects),
+                  sum(isinstance(o, program.BranchNode) for o in objects))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        tree_nodes, branch_nodes = map(int, child.stdout.split())
+        assert tree_nodes == 0
+        assert branch_nodes > 0  # the workloads were built
 
     def test_program_is_built_once(self):
         workload = Workload("w", workload_spec("w", Category.SHORT_MOBILE, 3), 3)
-        assert workload.program is workload.program
+        assert workload.lowered is workload.lowered
 
     def test_make_workload_builds_up_front(self):
         workload = make_workload("w", Category.SHORT_MOBILE, seed=3, trace_scale=0.02)
-        assert workload._program is not None
+        assert workload._lowered is not None
 
 
 class TestRecordMemo:
@@ -301,7 +359,7 @@ class TestRecordMemo:
 
     @staticmethod
     def walked(workload, limit=None):
-        walker = ProgramWalker(workload.program, derive_seed(workload.seed, "walk"))
+        walker = ProgramWalker(workload.lowered, derive_seed(workload.seed, "walk"))
         return list(walker.records(limit or workload.spec.branch_budget))
 
     @pytest.fixture()
