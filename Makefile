@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-fault lint check check-flow bench bench-quick bench-smoke bench-diff examples figures clean
+.PHONY: install test test-fast test-fault lint loc check check-flow bench bench-quick bench-smoke bench-diff examples figures clean
 
 # The fault-injection / robustness suite: the supervised worker pool
 # (driven through the scheduler), deterministic fault harness, cell-cache
@@ -30,6 +30,10 @@ lint:
 	else \
 		echo "ruff not installed; compileall only"; \
 	fi
+
+# Lines of src/**/*.py: ROADMAP tracks this size of the package.
+loc:
+	@echo "src/**/*.py: $$(find src -name '*.py' -exec cat {} + | wc -l) lines"
 
 # Simulator-invariant static analysis, both tiers: the syntactic rules
 # (determinism, bit-width/storage budget, policy contracts) and the

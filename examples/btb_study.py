@@ -72,29 +72,6 @@ def main() -> None:
     print()
     print("The shared design matches the standalone one at a fraction of the")
     print("hardware cost — the Section III-E result.")
-    print()
-
-    # 4. Two-level BTB (Section II-F's organization class).
-    from repro.btb.two_level import TwoLevelBTB
-    from repro.policies.registry import make_policy
-    from repro.traces.reconstruct import FetchBlockStream
-
-    two_level = TwoLevelBTB(512, 4, make_policy("lru"), 4096, 4, make_policy("lru"))
-    small = run(workload, warmup, icache_policy="lru", btb_entries=512)
-    stream = FetchBlockStream(workload.records())
-    for chunk in stream:
-        record = chunk.branch
-        if record.taken and record.branch_type.uses_btb:
-            two_level.access(record.pc, record.target)
-    print("Two-level BTB (512-entry L1 + 4K-entry L2) vs flat 512-entry:")
-    rows = [
-        ("flat 512-entry (LRU)", small.btb_mpki),
-        ("two-level, full misses only",
-         two_level.mpki(stream.instructions_seen)),
-        ("two-level, charging L2 hits too",
-         two_level.mpki(stream.instructions_seen, count_l2_hits_as_misses=True)),
-    ]
-    print(format_table(("design", "MPKI"), rows))
 
 
 if __name__ == "__main__":

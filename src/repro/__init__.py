@@ -42,7 +42,7 @@ from repro.traces.record import BranchRecord, BranchType
 from repro.workloads.spec import Category
 from repro.workloads.suite import Workload, make_suite, make_workload
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "GHRPConfig",

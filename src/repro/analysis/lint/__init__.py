@@ -46,12 +46,6 @@ from repro.analysis.lint.core import (
     all_rules,
     register_rule,
 )
-from repro.analysis.lint.baseline import (
-    apply_baseline,
-    baseline_key,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.lint.reporters import (
     render_json,
     render_rule_list,
@@ -68,13 +62,9 @@ __all__ = [
     "Rule",
     "SourceFile",
     "all_rules",
-    "apply_baseline",
-    "baseline_key",
-    "load_baseline",
     "register_rule",
     "render_json",
     "render_rule_list",
     "render_sarif",
     "render_text",
-    "write_baseline",
 ]

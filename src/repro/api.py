@@ -71,9 +71,9 @@ __all__ = [
     "ServiceError",
 ]
 
-# The kernel package stays a lazy import (it is optional-numpy machinery
-# the facade's import path should not pay for), so its exports resolve on
-# first attribute access rather than at module import.
+# The kernel package stays a lazy import (the batch engine's machinery,
+# which the facade's import path should not pay for), so its exports
+# resolve on first attribute access rather than at module import.
 _KERNEL_EXPORTS = frozenset(
     {"BatchKernel", "TraceTokens", "batch_kernel", "tokenize_trace"}
 )

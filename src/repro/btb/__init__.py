@@ -8,6 +8,5 @@ BTB); the GHRP-coupled replacement mode is in
 """
 
 from repro.btb.btb import BranchTargetBuffer, BTBResult
-from repro.btb.two_level import TwoLevelBTB, TwoLevelBTBResult
 
-__all__ = ["BranchTargetBuffer", "BTBResult", "TwoLevelBTB", "TwoLevelBTBResult"]
+__all__ = ["BranchTargetBuffer", "BTBResult"]

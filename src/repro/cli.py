@@ -573,12 +573,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.analysis.lint import (
         LintEngine,
         all_rules,
-        apply_baseline,
         render_json,
         render_rule_list,
         render_sarif,
         render_text,
-        write_baseline,
     )
 
     if args.list_rules:
@@ -592,28 +590,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     rules = None
     if args.rules:
         rules = [rule_id for spec in args.rules for rule_id in spec.split(",") if rule_id]
-    tier_choice = args.tier
-    if args.tier_legacy is not None:
-        import warnings
-
-        if tier_choice is not None:
-            print("repro-sim check: pass --tier or --engine, not both")
-            return 2
-        warnings.warn(
-            "repro-sim check --engine is deprecated; use --tier "
-            "(same choices: syntax, flow, all)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        tier_choice = args.tier_legacy
-    if tier_choice is None:
-        tier_choice = "all"
-    if tier_choice != "all":
+    if args.tier != "all":
         # The flow tier is every flow-* rule; the syntax tier is the rest.
         tier = [
             rule.id
             for rule in all_rules()
-            if rule.id.startswith("flow-") == (tier_choice == "flow")
+            if rule.id.startswith("flow-") == (args.tier == "flow")
         ]
         rules = [r for r in rules if r in tier] if rules is not None else tier
     try:
@@ -622,25 +604,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except (FileNotFoundError, ValueError) as error:
         print(f"repro-sim check: {error}")
         return 2
-    if args.write_baseline:
-        count = write_baseline(result, args.write_baseline)
-        print(f"wrote {count} accepted finding(s) to {args.write_baseline}")
-        return 0
-    stale: list[tuple[str, str, str]] = []
-    baselined = []
-    if args.baseline:
-        try:
-            result, baselined, stale = apply_baseline(result, args.baseline)
-        except (FileNotFoundError, ValueError, KeyError) as error:
-            print(f"repro-sim check: {error}")
-            return 2
     renderers = {"json": render_json, "sarif": render_sarif, "text": render_text}
     print(renderers[args.format](result))
-    if args.format == "text":
-        if baselined:
-            print(f"{len(baselined)} finding(s) absorbed by {args.baseline}")
-        for rule_id, path, _message in stale:
-            print(f"stale baseline entry: {rule_id} at {path} no longer fires")
     return result.exit_code
 
 
@@ -1090,19 +1055,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="RULE[,RULE...]",
                        help="run only these rule ids (repeatable)")
     check.add_argument("--tier", choices=["syntax", "flow", "all"],
-                       default=None,
+                       default="all",
                        help="rule tier: 'syntax' pattern rules, 'flow' "
                             "dataflow proofs (flow-*), or both (default)")
-    # Retired spelling ("tier" never selected a simulation engine); kept
-    # one release as a hidden alias that warns.
-    check.add_argument("--engine", choices=["syntax", "flow", "all"],
-                       default=None, dest="tier_legacy",
-                       help=argparse.SUPPRESS)
-    check.add_argument("--baseline", metavar="FILE", default=None,
-                       help="subtract the accepted findings in FILE; only "
-                            "new findings gate the exit code")
-    check.add_argument("--write-baseline", metavar="FILE", default=None,
-                       help="accept every current finding into FILE and exit")
     check.add_argument("--list-rules", action="store_true",
                        help="list every rule id with its description and exit")
     check.set_defaults(func=_cmd_check)

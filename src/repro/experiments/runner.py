@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import build_frontend
@@ -225,29 +225,21 @@ class GridResult:
             raise KeyError(f"no cell for ({policy!r}, {workload!r})") from None
 
 
-def _warmup_for(workload: Workload, config: FrontEndConfig) -> int:
-    """The paper's warm-up: half the trace, capped at a fixed budget."""
-    return min(
-        int(workload.instruction_count() * config.warmup_fraction),
-        config.warmup_cap_instructions,
-    )
-
-
 def _run_options_for(
-    workload: Workload, config: FrontEndConfig, warmup: int, verify: str,
-    telemetry=None,
+    workload: Workload, config: FrontEndConfig, verify: str, telemetry=None
 ) -> RunOptions:
-    """Cell run options; verified runs carry the provenance the sentinel's
-    repro bundles need (workload spec + seed, front-end config)."""
+    """Cell run options: the paper's warm-up rule
+    (:meth:`RunOptions.from_config_warmup`) plus verification and
+    telemetry.  Verified runs carry the provenance the sentinel's repro
+    bundles need (workload spec + seed, front-end config)."""
     refs = {}
     if verify != "off":
         refs = {
             "workload_ref": WorkloadRef.from_workload(workload),
             "config_ref": config,
         }
-    return RunOptions(
-        warmup_instructions=warmup,
-        max_instructions=config.max_instructions,
+    return replace(
+        RunOptions.from_config_warmup(config, workload.instruction_count()),
         verify=verify,
         telemetry=telemetry,
         **refs,
@@ -265,12 +257,9 @@ def run_workload(
     """Simulate one workload under ``config``; returns SimulationResult."""
     with obs.span("setup"):
         frontend = build_frontend(config, obs=obs, engine=engine)
-        warmup = _warmup_for(workload, config)
+        options = _run_options_for(workload, config, verify, telemetry)
     with obs.span("simulate"):
-        return frontend.run(
-            workload.records(),
-            _run_options_for(workload, config, warmup, verify, telemetry),
-        )
+        return frontend.run(workload.records(), options)
 
 
 def run_cell(
@@ -292,15 +281,12 @@ def run_cell(
     setup_started = time.perf_counter()
     with obs.span("setup"):
         frontend = build_frontend(cell_config, obs=obs, engine=engine)
-        warmup = _warmup_for(workload, cell_config)
+        options = _run_options_for(workload, cell_config, verify, telemetry)
     setup_seconds = time.perf_counter() - setup_started
 
     simulate_started = time.perf_counter()
     with obs.span("simulate"):
-        result = frontend.run(
-            workload.records(),
-            _run_options_for(workload, cell_config, warmup, verify, telemetry),
-        )
+        result = frontend.run(workload.records(), options)
     simulate_seconds = time.perf_counter() - simulate_started
 
     if result.telemetry is not None:

@@ -36,7 +36,7 @@ import itertools
 import time
 
 from repro.experiments.content import warmup_digest
-from repro.experiments.runner import CellResult, _collect_cell, _warmup_for, run_cell
+from repro.experiments.runner import CellResult, _collect_cell, run_cell
 from repro.frontend.engine import _RunState, build_frontend
 from repro.frontend.options import RunOptions
 from repro.obs import NULL_OBS, Observability
@@ -95,8 +95,10 @@ def run_cell_snapshotted(
     the ordinary runner).
     """
     cell_config = config.with_overrides(icache_policy=policy, btb_policy=policy)
-    warmup = _warmup_for(workload, cell_config)
-    limit = cell_config.max_instructions
+    options = RunOptions.from_config_warmup(
+        cell_config, workload.instruction_count()
+    )
+    warmup, limit = options.warmup_instructions, options.max_instructions
     if snapshots is None or not snapshot_eligible(
         warmup, limit, obs=obs, verify=verify, telemetry=telemetry
     ):
@@ -107,7 +109,6 @@ def run_cell_snapshotted(
         return cell, NOTE_PLAIN
 
     digest = warmup_digest(workload, policy, cell_config, warmup, engine=engine)
-    options = RunOptions(warmup_instructions=warmup, max_instructions=limit)
 
     setup_started = time.perf_counter()
     state = snapshots.load(digest)

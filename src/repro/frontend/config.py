@@ -30,8 +30,6 @@ class FrontEndConfig:
         Registry names ("lru", "random", "srrip", "sdbp", "ghrp", ...).
         ``btb_policy=None`` mirrors the I-cache policy, which is how the
         paper's per-policy comparisons are run.
-    direction_predictor:
-        Direction predictor registry name.
     ras_depth:
         Return address stack depth.
     warmup_cap_instructions / warmup_fraction:
@@ -57,7 +55,6 @@ class FrontEndConfig:
     btb_assoc: int = 4
     icache_policy: str = "lru"
     btb_policy: str | None = None
-    direction_predictor: str = "hashed-perceptron"
     ras_depth: int = 32
     warmup_fraction: float = 0.5
     warmup_cap_instructions: int = 200_000

@@ -22,8 +22,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.branch.base import BranchDirectionPredictor
+from repro.branch.perceptron import HashedPerceptronPredictor
 from repro.branch.ras import ReturnAddressStack
-from repro.branch.registry import make_predictor
 from repro.btb.btb import BranchTargetBuffer
 from repro.cache.geometry import CacheGeometry
 from repro.cache.policy_api import ReplacementPolicy
@@ -425,7 +425,7 @@ def build_frontend(
         track_efficiency=config.track_efficiency,
         obs=obs,
     )
-    direction = make_predictor(config.direction_predictor)
+    direction = HashedPerceptronPredictor()
     ras = ReturnAddressStack(config.ras_depth)
     parts = dict(
         icache=icache,

@@ -45,13 +45,12 @@ from repro.kernel.base import (
     registered_batch_kernels,
 )
 from repro.kernel.engine import FastFrontEnd, fast_path_unsupported_reason
-from repro.kernel.tokenizer import HAVE_NUMPY, TraceTokens, tokenize_trace
+from repro.kernel.tokenizer import TraceTokens, tokenize_trace
 
 # Importing the kernel modules registers their kernels.
 from repro.kernel import direction, ghrp, lru, sdbp  # noqa: E402,F401  (registration side effects)
 
 __all__ = [
-    "HAVE_NUMPY",
     "BatchKernel",
     "BTBKernel",
     "CacheKernel",

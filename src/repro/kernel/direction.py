@@ -14,13 +14,11 @@ aliased weight rows and applies the saturating train rule.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.branch.perceptron import HashedPerceptronPredictor
 from repro.kernel.ghrp import history_chain
-from repro.kernel.tokenizer import HAVE_NUMPY
 from repro.util.bits import mask
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 __all__ = ["HashedPerceptronKernel"]
 
@@ -229,8 +227,6 @@ class HashedPerceptronKernel:
         case the engine's direction-stream executor calls
         :meth:`predict_and_update` per conditional branch.
         """
-        if not HAVE_NUMPY:
-            return None
         predictor = self.predictor
         if predictor.history_bits > 64 or predictor.path_bits > 64:
             return None

@@ -44,7 +44,7 @@ from repro.frontend.options import RunOptions, resolve_run_options
 from repro.frontend.results import SimulationResult
 from repro.kernel.base import BTBKernel, KernelContext, WindowPlan, batch_kernel_for
 from repro.kernel.direction import HashedPerceptronKernel
-from repro.kernel.tokenizer import HAVE_NUMPY, TraceTokens, tokenize_trace
+from repro.kernel.tokenizer import TraceTokens, tokenize_trace
 from repro.obs import NULL_OBS
 from repro.policies.ghrp_policy import GHRPBTBPolicy, GHRPPolicy
 from repro.traces.record import BranchRecord
@@ -69,8 +69,6 @@ def fast_path_unsupported_reason(
     Efficiency tracking, wrong-path fetch, and per-access event tracing
     are reference-only features.
     """
-    if not HAVE_NUMPY:
-        return "the batch loop requires numpy"
     if wrong_path_depth > 0:
         return "wrong-path simulation requires the reference engine"
     if obs.tracer is not None:
@@ -112,6 +110,13 @@ class FastFrontEnd(FrontEnd):
         )
         if reason is not None:
             raise ValueError(f"fast engine unsupported: {reason}")
+        # build_frontend builds only the stock perceptron; a subclass may
+        # override what the kernel replays, so only the exact class runs.
+        if type(self.direction) is not HashedPerceptronPredictor:
+            raise ValueError(
+                "fast engine unsupported: direction predictor "
+                f"{type(self.direction).__name__} has no kernel"
+            )
         context = KernelContext()
         self._context = context
         icache_policy = self.icache.policy
@@ -123,14 +128,7 @@ class FastFrontEnd(FrontEnd):
             btb_cache, btb_cache.policy, context
         )
         self._btb_kernel = BTBKernel(self.btb, inner)
-        # Only the exact stock predictor class is kernelized; subclasses or
-        # other predictors run through their reference objects (still fast
-        # enough — the cache path dominates).
-        self._direction_kernel = (
-            HashedPerceptronKernel(self.direction)
-            if type(self.direction) is HashedPerceptronPredictor
-            else None
-        )
+        self._direction_kernel = HashedPerceptronKernel(self.direction)
         # The armed KernelFault of the current run (repro.sentinel.faults).
         self._fault_arm = None
 
@@ -140,15 +138,13 @@ class FastFrontEnd(FrontEnd):
     def _reload_kernels(self) -> None:
         self._icache_kernel.reload()
         self._btb_kernel.reload()
-        if self._direction_kernel is not None:
-            self._direction_kernel.reload()
+        self._direction_kernel.reload()
         self._context.reload()
 
     def _sync_kernels(self) -> None:
         self._icache_kernel.sync()
         self._btb_kernel.sync()
-        if self._direction_kernel is not None:
-            self._direction_kernel.sync()
+        self._direction_kernel.sync()
         self._context.sync()
 
     # ------------------------------------------------------------------
@@ -353,13 +349,10 @@ class FastFrontEnd(FrontEnd):
     def _direction_window(self, tokens: TraceTokens):
         """Chunk executor for the conditional-branch stream."""
         kernel = self._direction_kernel
-        if kernel is not None:
-            span = kernel.begin_window(tokens)
-            if span is not None:
-                return span
-            predict_and_update = kernel.predict_and_update
-        else:
-            predict_and_update = self.direction.predict_and_update
+        span = kernel.begin_window(tokens)
+        if span is not None:
+            return span
+        predict_and_update = kernel.predict_and_update
         cpc = tokens.cpc
         ctaken = tokens.ctaken
         cond_end = tokens.cond_end
@@ -404,21 +397,13 @@ class FastFrontEnd(FrontEnd):
         at barriers; both paths zero the buffers, so the combination
         never double-counts.
         """
-        icache_kernel = self._icache_kernel
-        btb_kernel = self._btb_kernel
-        for kernel in (icache_kernel, btb_kernel, btb_kernel.inner):
+        btb = self._btb_kernel
+        for kernel in (self._icache_kernel, btb, btb.inner, self._direction_kernel):
             flush = kernel._window_flush
             if flush is not None:
                 flush()
             kernel._window_span = None
             kernel._window_flush = None
-        direction_kernel = self._direction_kernel
-        if direction_kernel is not None:
-            flush = direction_kernel._window_flush
-            if flush is not None:
-                flush()
-            direction_kernel._window_span = None
-            direction_kernel._window_flush = None
 
     def _before_stats_collect(self) -> None:
         self._sync_kernels()

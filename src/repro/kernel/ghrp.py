@@ -25,17 +25,15 @@ contents at that exact record.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.cache.set_assoc import _INVALID_TAG
 from repro.core.ghrp import GHRPPredictor
 from repro.core.tables import Aggregation
 from repro.kernel.base import CacheKernel, KernelContext, WindowPlan, batch_kernel
-from repro.kernel.tokenizer import HAVE_NUMPY
 from repro.policies.ghrp_policy import GHRPBTBPolicy, GHRPPolicy
 from repro.util.bits import mask
 from repro.util.hashing import skewed_index_columns
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 __all__ = ["GHRPKernelState", "GHRPCacheKernel", "GHRPBTBKernel"]
 

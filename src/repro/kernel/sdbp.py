@@ -10,6 +10,8 @@ train events move ``increments``/``decrements``.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.cache.set_assoc import _INVALID_TAG
 from repro.kernel.base import (
     BYPASS,
@@ -19,13 +21,9 @@ from repro.kernel.base import (
     WindowPlan,
     batch_kernel,
 )
-from repro.kernel.tokenizer import HAVE_NUMPY
 from repro.policies.sdbp import SDBPPolicy
 from repro.util.bits import mask
 from repro.util.hashing import full_space_table, skewed_index_columns
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 __all__ = ["SDBPKernel"]
 

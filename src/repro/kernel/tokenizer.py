@@ -32,10 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-try:  # numpy is optional repo-wide; the batch engine gates on this flag.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 from repro.traces.reconstruct import _MAX_SEQUENTIAL_GAP
 
@@ -43,13 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traces.record import BranchRecord
 
 __all__ = [
-    "HAVE_NUMPY",
     "TOKEN_STREAMS",
     "TraceTokens",
     "tokenize_trace",
 ]
-
-HAVE_NUMPY = _np is not None
 
 #: Stream names a kernel may declare in ``tokenize_requirements()``.
 #: Every name maps onto arrays :class:`TraceTokens` derives: the fetch
@@ -281,8 +275,6 @@ def tokenize_trace(
     stream passes the carried fall-through/target address so the first
     record's fetch region matches the reference engine exactly.
     """
-    if _np is None:
-        raise RuntimeError("tokenize_trace requires numpy")
     if not isinstance(records, list):
         records = list(records)
     return TraceTokens(records, next_start)

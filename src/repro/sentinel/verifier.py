@@ -144,15 +144,11 @@ def _counters_diff(rs, srs) -> list[str]:
 
 
 def _kernel_fingerprints(frontend) -> dict[str, str]:
-    fingerprints = {
+    return {
         "icache": digest_fingerprint(frontend._icache_kernel.state_digest()),
         "btb": digest_fingerprint(frontend._btb_kernel.state_digest()),
+        "direction": digest_fingerprint(frontend._direction_kernel.state_digest()),
     }
-    if frontend._direction_kernel is not None:
-        fingerprints["direction"] = digest_fingerprint(
-            frontend._direction_kernel.state_digest()
-        )
-    return fingerprints
 
 
 def _localize(frontend, snapshot, window, arm, arm_count_before):

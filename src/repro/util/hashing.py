@@ -124,7 +124,7 @@ def full_space_table(
     """The memoized full-space signature → indices table (shared; read-only).
 
     Bit-identical to :func:`skewed_indices` for every signature; computed
-    vectorized when numpy is importable.
+    vectorized in numpy.
     """
     key = (num_tables, index_bits, signature_bits)
     table = _FULL_TABLE_MEMO.get(key)
@@ -136,31 +136,24 @@ def full_space_table(
         )
     if index_bits <= 0:
         raise ValueError(f"index_bits must be positive, got {index_bits}")
-    total = 1 << signature_bits
-    try:
-        import numpy as np
-    except ImportError:
-        table = FullSpaceIndexTable(
-            (signature, skewed_indices(signature, num_tables, index_bits))
-            for signature in range(total)
-        )
-    else:
-        index_mask = np.uint64((1 << index_bits) - 1)
-        shift = np.uint64(index_bits)
-        signatures = np.arange(total, dtype=np.uint64)
-        columns = []
-        for t in range(num_tables):
-            value = signatures ^ np.uint64(_TABLE_TWEAKS[t])
-            value = value + np.uint64(0x9E3779B97F4A7C15)
-            value = (value ^ (value >> np.uint64(30))) * np.uint64(_MIX_MULT_1)
-            value = (value ^ (value >> np.uint64(27))) * np.uint64(_MIX_MULT_2)
-            value = value ^ (value >> np.uint64(31))
-            folded = np.zeros_like(value)
-            while value.any():
-                folded ^= value & index_mask
-                value >>= shift
-            columns.append(folded.tolist())
-        table = FullSpaceIndexTable(enumerate(zip(*columns, strict=True)))
+    import numpy as np  # lazy: only the batch kernels build these tables
+
+    index_mask = np.uint64((1 << index_bits) - 1)
+    shift = np.uint64(index_bits)
+    signatures = np.arange(1 << signature_bits, dtype=np.uint64)
+    columns = []
+    for t in range(num_tables):
+        value = signatures ^ np.uint64(_TABLE_TWEAKS[t])
+        value = value + np.uint64(0x9E3779B97F4A7C15)
+        value = (value ^ (value >> np.uint64(30))) * np.uint64(_MIX_MULT_1)
+        value = (value ^ (value >> np.uint64(27))) * np.uint64(_MIX_MULT_2)
+        value = value ^ (value >> np.uint64(31))
+        folded = np.zeros_like(value)
+        while value.any():
+            folded ^= value & index_mask
+            value >>= shift
+        columns.append(folded.tolist())
+    table = FullSpaceIndexTable(enumerate(zip(*columns, strict=True)))
     table.key = key
     _FULL_TABLE_MEMO[key] = table
     return table
@@ -169,12 +162,11 @@ def full_space_table(
 def skewed_index_columns(num_tables: int, index_bits: int, signature_bits: int):
     """Full-space signature → per-table index *columns*, memoized.
 
-    Returns ``(columns, columns_np)``: one Python list and (when numpy is
-    importable, else ``None``) one contiguous int64 array per table, each
-    indexed directly by signature.  Bit-identical to
-    :func:`skewed_indices` by construction; the batched kernels index the
-    lists on the scalar hot path and use the arrays for vectorized
-    signature lowering.
+    Returns ``(columns, columns_np)``: one Python list and one contiguous
+    int64 array per table, each indexed directly by signature.
+    Bit-identical to :func:`skewed_indices` by construction; the batched
+    kernels index the lists on the scalar hot path and use the arrays for
+    vectorized signature lowering.
     """
     key = (num_tables, index_bits, signature_bits)
     cached = _COLUMN_MEMO.get(key)
@@ -183,17 +175,13 @@ def skewed_index_columns(num_tables: int, index_bits: int, signature_bits: int):
     lookup = full_space_table(num_tables, index_bits, signature_bits)
     total = 1 << signature_bits
     rows = [lookup[signature] for signature in range(total)]
-    try:
-        import numpy as np
-    except ImportError:
-        columns_np = None
-        columns = tuple(list(column) for column in zip(*rows, strict=True))
-    else:
-        matrix = np.asarray(rows, dtype=np.int64)
-        columns_np = tuple(
-            np.ascontiguousarray(matrix[:, t]) for t in range(num_tables)
-        )
-        columns = tuple(column.tolist() for column in columns_np)
+    import numpy as np
+
+    matrix = np.asarray(rows, dtype=np.int64)
+    columns_np = tuple(
+        np.ascontiguousarray(matrix[:, t]) for t in range(num_tables)
+    )
+    columns = tuple(column.tolist() for column in columns_np)
     cached = (columns, columns_np)
     _COLUMN_MEMO[key] = cached
     return cached

@@ -40,7 +40,7 @@ class TestUnseededRandom:
     def test_global_draw_flagged(self, tmp_path):
         result = lint_snippet(
             tmp_path,
-            "cache/victim.py",
+            "cache/mod.py",
             "import random\n\ndef pick(ways):\n    return random.randrange(ways)\n",
         )
         assert rule_ids(result) == ["det-unseeded-random"]
@@ -82,7 +82,7 @@ class TestUnseededRandom:
     def test_suppression(self, tmp_path):
         result = lint_snippet(
             tmp_path,
-            "cache/victim.py",
+            "cache/mod.py",
             "import random\n\ndef pick(ways):\n"
             "    return random.randrange(ways)"
             "  # repro: allow(det-unseeded-random)\n",

@@ -4,7 +4,14 @@ The facade's promise is that ``repro.api.__all__`` and the ``repro``
 top-level exports only grow deliberately: removing or renaming a name is
 a breaking change that must update this snapshot (and the deprecation
 notes in docs/api.md) in the same commit.  Silent drift fails here.
+
+1.3.0 removed no exported name.  It removed the
+``FrontEndConfig.direction_predictor`` field (pinned by
+``FRONTEND_CONFIG_FIELDS`` below) and modules below the facade; see
+"Migrating to 1.3.0" in docs/api.md.
 """
+
+import dataclasses
 
 import repro
 import repro.api as api
@@ -71,6 +78,26 @@ TOP_LEVEL_EXPORTS = frozenset(
 )
 
 
+FRONTEND_CONFIG_FIELDS = (
+    "icache_bytes",
+    "icache_assoc",
+    "block_size",
+    "btb_entries",
+    "btb_assoc",
+    "icache_policy",
+    "btb_policy",
+    "ras_depth",
+    "warmup_fraction",
+    "warmup_cap_instructions",
+    "max_instructions",
+    "wrong_path_depth",
+    "track_efficiency",
+    "ghrp",
+    "sdbp",
+    "random_seed",
+)
+
+
 class TestApiSurface:
     def test_api_all_matches_snapshot(self):
         assert frozenset(api.__all__) == API_EXPORTS
@@ -89,6 +116,13 @@ class TestApiSurface:
         # so user code needs exactly one import line (docs/api.md).
         for name in API_EXPORTS:
             assert getattr(repro, name) is getattr(api, name), name
+
+    def test_frontend_config_fields_match_snapshot(self):
+        # Every field is part of every cell digest: adding or removing one
+        # changes all cached results, so it is a versioned API change.
+        fields = tuple(f.name for f in dataclasses.fields(repro.FrontEndConfig))
+        assert fields == FRONTEND_CONFIG_FIELDS
+        assert repro.__version__ == "1.3.0"
 
     def test_engines_tuple(self):
         assert repro.ENGINES == ("reference", "fast")

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.branch.bimodal import AlwaysTakenPredictor, BimodalPredictor
-from repro.branch.gshare import GSharePredictor
 from repro.branch.perceptron import HashedPerceptronPredictor
 from repro.branch.ras import ReturnAddressStack
-from repro.branch.registry import available_predictors, make_predictor
 from repro.util.rng import DeterministicRng
 
 
@@ -65,21 +63,6 @@ class TestBimodal:
         assert predictor.predict(0x2000) is False
 
 
-class TestGshare:
-    def test_learns_alternation(self):
-        assert accuracy(GSharePredictor(), alternating_trace()) > 0.95
-
-    def test_learns_correlation(self):
-        # Short history: with a long history every (random) history string
-        # is unique and the table can never retrain, so correlation only
-        # becomes learnable when the history window is small.
-        assert accuracy(GSharePredictor(history_bits=2), correlated_trace()) > 0.7
-
-    def test_history_bits_validation(self):
-        with pytest.raises(ValueError):
-            GSharePredictor(table_entries=256, history_bits=16)
-
-
 class TestHashedPerceptron:
     def test_learns_bias(self):
         assert accuracy(HashedPerceptronPredictor(), biased_trace(0.95)) > 0.9
@@ -109,16 +92,6 @@ class TestHashedPerceptron:
         predictor = HashedPerceptronPredictor()
         predictor.update(0x1000, True)  # must not raise
         assert predictor.predict(0x1000) in (True, False)
-
-
-class TestRegistry:
-    def test_all_constructible(self):
-        for name in available_predictors():
-            assert make_predictor(name).name == name
-
-    def test_unknown(self):
-        with pytest.raises(KeyError):
-            make_predictor("oracle")
 
 
 class TestRAS:

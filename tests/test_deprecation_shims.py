@@ -24,6 +24,11 @@ that fed it (``grid --resume``, ``grid --checkpoint-every``,
 ``TokenCache``, a token memo nothing in the package instantiated, is
 gone from the kernel package and the facade: callers tokenize once with
 ``tokenize_trace`` and reuse the ``TraceTokens``.
+
+Release 1.3.0 removed the modules no entry point reached (the victim
+buffer, the two-level BTB, suite materialization, the direction-predictor
+registry with gshare, and lint baselines) and the one-value
+``FrontEndConfig.direction_predictor`` option.
 """
 
 from __future__ import annotations
@@ -113,3 +118,21 @@ def test_result_store_flags_rejected(argv, capsys):
         main(argv)
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [
+    "repro.cache.victim",
+    "repro.btb.two_level",
+    "repro.workloads.materialize",
+    "repro.branch.registry",
+    "repro.branch.gshare",
+    "repro.analysis.lint.baseline",
+])
+def test_unreached_modules_removed(name):
+    with pytest.raises(ImportError):
+        importlib.import_module(name)
+
+
+def test_direction_predictor_option_removed():
+    with pytest.raises(TypeError):
+        FrontEndConfig(direction_predictor="gshare")

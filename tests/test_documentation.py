@@ -83,3 +83,66 @@ class TestReadmeClaims:
         registered = set(available_policies())
         # Spot-check the headline names the README leans on.
         assert {"lru", "srrip", "sdbp", "ghrp", "opt", "ship"} <= registered
+
+
+class TestDottedModuleNames:
+    """Every dotted ``repro.<pkg>.<module>`` a document names must exist:
+    a deleted module cannot leave a doc line pointing at it."""
+
+    DOCUMENTS = ("README.md", "DESIGN.md", "docs/*.md")
+    DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+    @staticmethod
+    def _resolves(dotted):
+        """The longest module prefix is a file under ``src/``; the rest,
+        if any, is an attribute of that module."""
+        import importlib
+
+        parts = dotted.split(".")
+        path = REPO / "src"
+        for index, part in enumerate(parts):
+            if (path / part / "__init__.py").exists():
+                path = path / part
+            elif (path / f"{part}.py").exists():
+                return True
+            else:
+                module = importlib.import_module(".".join(parts[:index]))
+                return hasattr(module, part)
+        return True
+
+    @staticmethod
+    def _exempt_lines(path):
+        """docs/api.md's migration sections name removed modules on
+        purpose."""
+        exempt, inside = set(), False
+        if path.name == "api.md":
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                if line.startswith("## "):
+                    inside = line.startswith("## Migrating")
+                if inside:
+                    exempt.add(number)
+        return exempt
+
+    def test_named_modules_exist(self):
+        # Logger names (`get_logger("progress")` logs as `repro.progress`)
+        # are dotted too but name no module.
+        sources = "\n".join(
+            p.read_text() for p in (REPO / "src" / "repro").rglob("*.py")
+        )
+        loggers = {
+            f"repro.{name}" for name in re.findall(r'get_logger\("([\w.]+)"\)', sources)
+        }
+        paths = [p for pattern in self.DOCUMENTS for p in sorted(REPO.glob(pattern))]
+        missing = []
+        for path in paths:
+            exempt = self._exempt_lines(path)
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                if number in exempt:
+                    continue
+                for dotted in self.DOTTED.findall(line):
+                    if dotted in loggers or self._resolves(dotted):
+                        continue
+                    missing.append(f"{path.relative_to(REPO)}:{number}: {dotted}")
+        assert not missing, "documents name modules that do not exist:\n" + "\n".join(
+            missing
+        )

@@ -1,8 +1,7 @@
-"""Tests for the set-dueling meta-policy and the two-level BTB."""
+"""Tests for the set-dueling meta-policy."""
 
 import pytest
 
-from repro.btb.two_level import TwoLevelBTB
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.policies.dueling import SetDuelingPolicy
@@ -76,53 +75,3 @@ class TestSetDueling:
     def test_validation(self):
         with pytest.raises(ValueError):
             SetDuelingPolicy(LRUPolicy(), MRUPolicy(), dueling_sets=1)
-
-
-class TestTwoLevelBTB:
-    def make(self, l1=8, l2=64, assoc=4):
-        return TwoLevelBTB(l1, assoc, LRUPolicy(), l2, assoc, LRUPolicy())
-
-    def test_l1_hit(self):
-        btb = self.make()
-        btb.access(0x1000, 0x9000)
-        result = btb.access(0x1000, 0x9000)
-        assert result.l1_hit and result.hit
-        assert result.predicted_target == 0x9000
-
-    def test_l2_backs_up_l1_evictions(self):
-        btb = self.make(l1=4, l2=64, assoc=1)
-        # Fill L1 set 0 beyond capacity: pcs mapping to the same L1 set.
-        pcs = [0x0, 0x10, 0x20]  # L1 has 4 sets (assoc 1): stride 16 bytes
-        for pc in pcs:
-            btb.access(pc, 0x9000)
-        # All were full misses, so all are seeded in L2.
-        result = btb.access(pcs[0], 0x9000)
-        assert result.l2_hit or result.l1_hit
-
-    def test_full_miss_counted(self):
-        btb = self.make()
-        btb.access(0x1000, 0x9000)
-        assert btb.full_miss_count == 1
-        btb.access(0x1000, 0x9000)
-        assert btb.full_miss_count == 1
-
-    def test_mpki_modes(self):
-        btb = self.make()
-        btb.access(0x1000, 0x9000)
-        assert btb.mpki(1000) == pytest.approx(1.0)
-        assert btb.mpki(1000, count_l2_hits_as_misses=True) >= btb.mpki(1000)
-
-    def test_l2_must_be_larger(self):
-        with pytest.raises(ValueError):
-            TwoLevelBTB(64, 4, LRUPolicy(), 64, 4, LRUPolicy())
-
-    def test_two_level_beats_single_small_l1(self):
-        """With a working set bigger than L1 but within L2, the hierarchy
-        must convert most full misses into L2 hits."""
-        btb = self.make(l1=16, l2=256, assoc=4)
-        pcs = [0x1000 + 4 * i for i in range(64)]  # 64 branches > L1
-        for _ in range(5):
-            for pc in pcs:
-                btb.access(pc, 0x9000)
-        # After warm-up rounds, most accesses are L1 or L2 hits.
-        assert btb.full_miss_count <= len(pcs) + 10

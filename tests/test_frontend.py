@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.branch.perceptron import HashedPerceptronPredictor
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import build_frontend
 from repro.policies.ghrp_policy import GHRPBTBPolicy, GHRPPolicy
@@ -23,7 +24,8 @@ class TestConfig:
         assert config.block_size == 64
         assert config.btb_entries == 4096
         assert config.btb_assoc == 4
-        assert config.direction_predictor == "hashed-perceptron"
+        # The paper's one direction predictor; there is no option for it.
+        assert type(build_frontend(config).direction) is HashedPerceptronPredictor
 
     def test_btb_policy_mirrors_icache_by_default(self):
         assert FrontEndConfig(icache_policy="srrip").effective_btb_policy == "srrip"

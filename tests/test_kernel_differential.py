@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 import pytest
 
 import repro.frontend.engine as frontend_engine
-import repro.kernel.engine as kernel_engine
+from repro.branch.bimodal import BimodalPredictor
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.config import GHRPConfig
@@ -216,11 +216,16 @@ class TestFastPathGate:
         )
         assert fast_state == ref_state
 
-    def test_without_numpy_the_gate_falls_back(self, monkeypatch):
-        monkeypatch.setattr(kernel_engine, "HAVE_NUMPY", False)
-        frontend = build_frontend(FrontEndConfig(), engine="fast")
-        assert type(frontend) is FrontEnd
-        assert "numpy" in frontend.fast_path_fallback_reason
+
+    def test_only_the_stock_perceptron_is_kernelized(self):
+        # build_frontend never builds another predictor; constructing the
+        # fast engine around one directly is refused, not run half-fast.
+        parts = build_frontend(FrontEndConfig(), engine="reference")
+        with pytest.raises(ValueError, match="BimodalPredictor"):
+            FastFrontEnd(
+                icache=parts.icache, btb=parts.btb,
+                direction=BimodalPredictor(), ras=parts.ras, ghrp=parts.ghrp,
+            )
 
 
 class TestMetricsOnlyObservability:

@@ -374,7 +374,9 @@ class TestCrashFailover:
 class TestObsCountersAcrossFailover:
     @pytest.mark.parametrize("policy", ["lru", "ghrp"])
     @pytest.mark.parametrize("fault_at", [None, 5_000], ids=["clean", "failover"])
-    def test_structure_counters_equal_final_stats(self, policy, fault_at, workload):
+    def test_structure_counters_equal_final_stats(
+        self, policy, fault_at, workload, tmp_path
+    ):
         # The takeover engine replays the window since the last barrier:
         # its structures must keep counting, and the replayed window must
         # not be counted twice.
@@ -386,7 +388,10 @@ class TestObsCountersAcrossFailover:
         frontend = build_frontend(config, obs=obs, engine="fast")
         result = frontend.run(
             workload.records(),
-            run_options(workload, config, inject_kernel_fault=fault),
+            run_options(
+                workload, config, inject_kernel_fault=fault,
+                repro_bundle_dir=str(tmp_path),
+            ),
         )
         assert result.degraded is (fault is not None)
         counter = obs.metrics.counter

@@ -134,6 +134,8 @@ class TestJobSpec:
             lambda p: p["workloads"][0].update(category="desktop"),
             lambda p: p["workloads"][0].update(seed=True),
             lambda p: p["workloads"][0].update(trace_scale=0),
+            # Removed in 1.3.0: the front end has one direction predictor.
+            lambda p: p.update(config={"direction_predictor": "gshare"}),
         ],
     )
     def test_bad_payload_rejected(self, mutate):
@@ -141,6 +143,19 @@ class TestJobSpec:
         mutate(body)
         with pytest.raises(JobValidationError):
             JobSpec.from_payload(body)
+
+    def test_job_id_survives_the_direction_predictor_removal(self):
+        # Computed with 1.2.0, when FrontEndConfig still had a
+        # direction_predictor field: a payload that never named it keeps
+        # its job id, because the id covers the submitted overrides only.
+        body = {
+            "workloads": [{"category": "short-server", "seed": 2018,
+                           "trace_scale": 0.05}],
+            "policies": ["lru", "ghrp"],
+            "config": {"icache_bytes": 16384, "warmup_fraction": 0.25},
+            "engine": "fast",
+        }
+        assert JobSpec.from_payload(body).fingerprint() == "dccaea37eb9f0fb5"
 
     def test_round_trip_through_canonical_payload(self):
         spec = JobSpec.from_payload(payload())
