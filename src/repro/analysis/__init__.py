@@ -15,7 +15,6 @@ Research utilities around the paper's motivating observations:
 from repro.analysis.reuse import ReuseProfile, reuse_distance_profile
 from repro.analysis.deadness import DeadnessProfile, deadness_profile
 from repro.analysis.characterize import WorkloadCharacterization, characterize_workload
-from repro.analysis.setpressure import SetPressureProfile, btb_set_pressure, icache_set_pressure
 
 __all__ = [
     "ReuseProfile",
@@ -24,7 +23,4 @@ __all__ = [
     "deadness_profile",
     "WorkloadCharacterization",
     "characterize_workload",
-    "SetPressureProfile",
-    "icache_set_pressure",
-    "btb_set_pressure",
 ]

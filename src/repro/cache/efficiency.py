@@ -14,9 +14,12 @@ Time is measured in cache accesses.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.cache.geometry import CacheGeometry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["EfficiencyTracker"]
 
@@ -31,6 +34,10 @@ class EfficiencyTracker:
     """
 
     def __init__(self, geometry: CacheGeometry):
+        # numpy loads with the first tracker, not with ``import repro``:
+        # only the heat-map figures (Figs. 1 and 5) construct one.
+        import numpy as np
+
         self.geometry = geometry
         shape = (geometry.num_sets, geometry.associativity)
         self._live_time = np.zeros(shape, dtype=np.float64)
@@ -90,6 +97,8 @@ class EfficiencyTracker:
         maps, where "each pixel represents a cache block ... each row
         corresponding to one set".
         """
+        import numpy as np
+
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(self._total_time > 0, self._live_time / self._total_time, 0.0)
         return ratio

@@ -60,7 +60,6 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.experiments import figures
 from repro.experiments.runner import run_cell, run_grid, run_workload
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import ENGINES
@@ -72,7 +71,7 @@ from repro.obs import (
     Observability,
     configure_logging,
 )
-from repro.policies.registry import available_policies
+from repro.policies.registry import PAPER_POLICIES, available_policies
 from repro.traces.io import read_trace, write_trace
 from repro.workloads.spec import Category
 from repro.workloads.suite import make_suite, make_workload
@@ -325,6 +324,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    from repro.experiments import figures
+
     suite = make_suite(base_seed=args.seed, trace_scale=args.trace_scale)
     obs = _obs_from(args)
     progress = GridProgressReporter(total_cells=len(suite) * len(args.policies))
@@ -338,6 +339,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_storage(args: argparse.Namespace) -> int:
+    from repro.experiments import figures
+
     ghrp, sdbp = figures.table1_storage(
         icache_bytes=args.icache_kb * 1024,
         icache_assoc=args.icache_assoc,
@@ -438,6 +441,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     import contextlib
     import tempfile
 
+    from repro.experiments import figures
     from repro.experiments.report_markdown import markdown_report
     from repro.experiments.scheduler import (
         SchedulerConfig,
@@ -685,6 +689,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return daemon.serve()
 
 
+#: ``--poll`` of ``client submit`` and ``client watch``.
+_POLL_HELP = ("longest time between answers while waiting (default 0.5 s; "
+              "the daemon holds each request and answers as soon as the "
+              "job finishes or reports progress)")
+
+
 def _client_from(args: argparse.Namespace):
     from repro.service import ServiceClient
 
@@ -890,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(compare)
     _add_engine_argument(compare)
     compare.add_argument(
-        "--policies", nargs="+", default=list(figures.PAPER_POLICIES),
+        "--policies", nargs="+", default=list(PAPER_POLICIES),
         choices=available_policies(),
     )
     compare.set_defaults(func=_cmd_compare)
@@ -899,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--seed", type=int, default=2018)
     suite.add_argument("--trace-scale", type=float, default=1.0)
     suite.add_argument(
-        "--policies", nargs="+", default=list(figures.PAPER_POLICIES),
+        "--policies", nargs="+", default=list(PAPER_POLICIES),
         choices=available_policies(),
     )
     _add_config_arguments(suite)
@@ -913,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = add_subcommand("report", "run a cached suite grid; write a markdown report")
     report.add_argument("--seed", type=int, default=2018)
     report.add_argument("--trace-scale", type=float, default=1.0)
-    report.add_argument("--policies", nargs="+", default=list(figures.PAPER_POLICIES),
+    report.add_argument("--policies", nargs="+", default=list(PAPER_POLICIES),
                         choices=available_policies())
     report.add_argument("--cache-dir", metavar="DIR", default="results-cache",
                         help="content-addressed result cache (default: "
@@ -935,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--trace-scale", type=float, default=1.0)
     grid.add_argument("--limit", type=int, default=None,
                       help="run only the first N suite workloads (smoke runs)")
-    grid.add_argument("--policies", nargs="+", default=list(figures.PAPER_POLICIES),
+    grid.add_argument("--policies", nargs="+", default=list(PAPER_POLICIES),
                       choices=available_policies())
     grid.add_argument("--workers", type=int, default=1,
                       help="parallel worker processes (default: 1)")
@@ -1130,7 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--trace-scale", type=float, default=1.0)
     submit.add_argument("--footprint-scale", type=float, default=1.0)
     submit.add_argument("--policies", nargs="+",
-                        default=list(figures.PAPER_POLICIES),
+                        default=list(PAPER_POLICIES),
                         choices=available_policies())
     submit.add_argument("--deadline", type=float, default=None, metavar="S",
                         help="per-job deadline in seconds from submission")
@@ -1144,7 +1154,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "semantics (0 clean, 2 partial, 1 failed)")
     submit.add_argument("--watch", action="store_true",
                         help="like --wait, but stream per-cell progress")
-    submit.add_argument("--poll", type=float, default=0.5, metavar="S")
+    submit.add_argument("--poll", type=float, default=0.5, metavar="S",
+                        help=_POLL_HELP)
     submit.add_argument("--timeout", type=float, default=None, metavar="S")
     _add_config_arguments(submit)
     _add_engine_argument(submit)
@@ -1162,7 +1173,8 @@ def build_parser() -> argparse.ArgumentParser:
     watch = add_client_command("watch", "tail a job's progress events until "
                                "it finishes", _cmd_client_watch)
     watch.add_argument("job")
-    watch.add_argument("--poll", type=float, default=0.5, metavar="S")
+    watch.add_argument("--poll", type=float, default=0.5, metavar="S",
+                       help=_POLL_HELP)
     watch.add_argument("--timeout", type=float, default=None, metavar="S")
 
     cancel = add_client_command("cancel", "cancel a queued or running job",

@@ -18,6 +18,8 @@ paper's evaluation and renders them as terminal-friendly reports:
 - :mod:`repro.experiments.report`: shared text-rendering helpers.
 """
 
+import importlib
+
 from repro.experiments.faults import FaultInjected, FaultPlan, FaultSpec
 from repro.experiments.runner import (
     CellResult,
@@ -30,7 +32,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.supervisor import RetryPolicy, SupervisorConfig
 from repro.experiments.tuning import TuningResult, sweep_ghrp
-from repro.experiments import figures
 
 __all__ = [
     "CellResult",
@@ -49,3 +50,11 @@ __all__ = [
     "sweep_ghrp",
     "figures",
 ]
+
+
+def __getattr__(name: str):
+    # ``figures`` pulls in numpy and the statistics stack; load it on
+    # first use so importing the harness (and ``repro``) stays light.
+    if name == "figures":
+        return importlib.import_module("repro.experiments.figures")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

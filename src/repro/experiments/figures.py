@@ -20,6 +20,7 @@ from repro.core.storage import StorageBreakdown, ghrp_storage, sdbp_storage
 from repro.experiments.report import bar_chart, format_table
 from repro.experiments.runner import GridResult, run_workload
 from repro.frontend.config import FrontEndConfig
+from repro.policies.registry import PAPER_POLICIES
 from repro.policies.sdbp import SDBPConfig
 from repro.stats.ci import RelativeDifference, relative_difference_ci
 from repro.stats.mpki import MPKITable, subset_at_least
@@ -51,9 +52,6 @@ __all__ = [
     "HeadlineNumbers",
     "headline_numbers",
 ]
-
-PAPER_POLICIES: tuple[str, ...] = ("lru", "random", "srrip", "sdbp", "ghrp")
-"""The five policies every comparison figure in the paper evaluates."""
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,11 @@ from repro.policies.sdbp import SDBPPolicy
 from repro.policies.ship import SHiPPolicy
 from repro.policies.srrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
 
-__all__ = ["register_policy", "make_policy", "available_policies"]
+__all__ = ["PAPER_POLICIES", "register_policy", "make_policy",
+           "available_policies"]
+
+PAPER_POLICIES: tuple[str, ...] = ("lru", "random", "srrip", "sdbp", "ghrp")
+"""The five policies every comparison figure in the paper evaluates."""
 
 PolicyFactory = Callable[..., ReplacementPolicy]
 

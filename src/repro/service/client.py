@@ -5,7 +5,10 @@
 the server's admission control expects: 429/503 rejections carry a
 ``Retry-After`` the client honors when asked to retry, result polling
 backs off on 202, and :meth:`watch` tails a job's progress stream by
-byte offset without re-reading history.
+byte offset without re-reading history.  :meth:`wait` and :meth:`watch`
+long-poll (``?wait=``): the server answers the moment the job settles
+or its stream grows, so a poll interval bounds the time between answers
+rather than adding to a job's latency.
 
 This is also the programmatic facade re-exported as
 ``repro.api.ServiceClient`` — tests and notebooks drive a daemon with
@@ -22,7 +25,7 @@ from typing import Iterator
 
 from repro.experiments.cellcache import read_checked_json
 from repro.service.clock import SYSTEM_CLOCK, ServiceClock
-from repro.service.jobs import TERMINAL_STATES
+from repro.service.jobs import MAX_WAIT_SECONDS, TERMINAL_STATES
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -141,8 +144,12 @@ class ServiceClient:
             self.clock.sleep(error.retry_after
                              if error.retry_after is not None else 1.0)
 
-    def status(self, job_id: str) -> dict:
-        return self._checked("GET", f"/v1/jobs/{job_id}")
+    def status(self, job_id: str, *, wait: float | None = None) -> dict:
+        """One job's summary.  With ``wait``, the server holds the answer
+        until the job settles, the daemon drains, or ``wait`` seconds
+        pass (clamped to :data:`~repro.service.jobs.MAX_WAIT_SECONDS`)."""
+        query = "" if wait is None else f"?wait={wait}"
+        return self._checked("GET", f"/v1/jobs/{job_id}{query}")
 
     def list_jobs(self) -> list[dict]:
         return self._checked("GET", "/v1/jobs").get("jobs", [])
@@ -154,16 +161,36 @@ class ServiceClient:
         """The finished result document (raises while not ready)."""
         return self._checked("GET", f"/v1/jobs/{job_id}/result")
 
-    def events(self, job_id: str, offset: int = 0) -> dict:
-        return self._checked("GET", f"/v1/jobs/{job_id}/events?offset={offset}")
+    def events(self, job_id: str, offset: int = 0, *,
+               wait: float | None = None) -> dict:
+        """A page of the progress stream from byte ``offset``.  With
+        ``wait``, held like :meth:`status` and also released once the
+        stream has moved past ``offset``."""
+        query = f"?offset={offset}" + ("" if wait is None else f"&wait={wait}")
+        return self._checked("GET", f"/v1/jobs/{job_id}/events{query}")
 
     # -- polling conveniences ------------------------------------------
+    def _hold(self, poll_seconds: float) -> float:
+        """The ``?wait=`` to ask for: the poll interval, kept within the
+        server's cap and well inside this client's socket timeout."""
+        return min(poll_seconds, MAX_WAIT_SECONDS, self.timeout / 2)
+
     def wait(self, job_id: str, *, poll_seconds: float = 0.5,
              timeout: float | None = None) -> dict:
-        """Poll until the job reaches a terminal state; returns the summary."""
+        """Long-poll until the job reaches a terminal state; returns the
+        summary.
+
+        Each request is held up to ``poll_seconds``, and a held answer is
+        followed at once by the next request.  Only an answer released
+        early without the job settling (the daemon is draining) is
+        followed by a ``poll_seconds`` sleep, so the loop never spins.
+        """
         started = self.clock.monotonic()
         while True:
-            summary = self.status(job_id)
+            hold = self._hold(poll_seconds)
+            asked = self.clock.monotonic()
+            summary = self.status(job_id, wait=hold)
+            early = self.clock.monotonic() - asked < hold
             if summary.get("state") in TERMINAL_STATES:
                 return summary
             if (timeout is not None
@@ -172,21 +199,28 @@ class ServiceClient:
                     f"job {job_id} still {summary.get('state')!r} "
                     f"after {timeout}s", payload=summary,
                 )
-            self.clock.sleep(poll_seconds)
+            if early:
+                self.clock.sleep(poll_seconds)
 
     def watch(self, job_id: str, *, poll_seconds: float = 0.5,
               timeout: float | None = None) -> Iterator[dict]:
         """Yield progress events until the job is terminal.
 
         The final yielded item is the job summary itself, marked with
-        ``{"kind": "job.state", ...}``.
+        ``{"kind": "job.state", ...}``.  Requests long-poll as in
+        :meth:`wait`; a page released early with no events and the job
+        unsettled is followed by a ``poll_seconds`` sleep.
         """
         started = self.clock.monotonic()
         offset = 0
         while True:
-            page = self.events(job_id, offset)
+            hold = self._hold(poll_seconds)
+            asked = self.clock.monotonic()
+            page = self.events(job_id, offset, wait=hold)
+            early = self.clock.monotonic() - asked < hold
             offset = page.get("next_offset", offset)
-            for event in page.get("events", []):
+            events = page.get("events", [])
+            for event in events:
                 yield event
             if page.get("state") in TERMINAL_STATES:
                 summary = self.status(job_id)
@@ -195,4 +229,5 @@ class ServiceClient:
             if (timeout is not None
                     and self.clock.monotonic() - started > timeout):
                 raise ServiceError(f"watch timed out after {timeout}s")
-            self.clock.sleep(poll_seconds)
+            if early and not events:
+                self.clock.sleep(poll_seconds)

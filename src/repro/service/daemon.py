@@ -20,6 +20,13 @@ Endpoints (all JSON; see ``docs/service.md`` for the full contract)::
     GET  /v1/jobs/<id>/events?offset=N   tail the progress stream
     POST /v1/jobs/<id>/cancel       cancel queued/running work
 
+Long polls: ``?wait=S`` on a job's summary holds the answer until the
+job settles (reaches a terminal state), the daemon starts draining, or
+``S`` seconds pass; on ``/events`` it also returns once the stream has
+moved past ``offset``.  ``S`` is clamped to
+:data:`~repro.service.jobs.MAX_WAIT_SECONDS`; a negative or non-numeric
+``S`` is a 400.
+
 Graceful drain: SIGTERM (or SIGINT) closes admissions, lets in-flight
 jobs checkpoint at their next cell boundary (completed cells are
 already durable in the content-addressed cache), re-queues them with
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import signal
 import threading
@@ -44,7 +52,14 @@ from urllib.parse import parse_qs, urlsplit
 from repro.experiments.cellcache import atomic_write_json
 from repro.obs import get_logger
 from repro.service.clock import SYSTEM_CLOCK, ServiceClock
-from repro.service.jobs import CANCELLED, DONE, EXPIRED, FAILED, JobValidationError
+from repro.service.jobs import (
+    CANCELLED,
+    DONE,
+    EXPIRED,
+    FAILED,
+    MAX_WAIT_SECONDS,
+    JobValidationError,
+)
 from repro.service.manager import AdmissionError, JobManager, UnknownJobError
 
 __all__ = ["ServiceDaemon", "result_status_for"]
@@ -79,6 +94,20 @@ class _RequestProblem(Exception):
         self.status = status
         self.message = message
         self.retry_after = retry_after
+
+
+def _hold_seconds(query: dict) -> float | None:
+    """The ``?wait=`` hold in seconds, clamped to the cap (None: absent)."""
+    if "wait" not in query:
+        return None
+    try:
+        seconds = float(query["wait"][0])
+    except ValueError:
+        seconds = math.nan
+    if not seconds >= 0:  # also rejects NaN
+        raise _RequestProblem(400, "wait must be a non-negative number "
+                                   "of seconds")
+    return min(seconds, MAX_WAIT_SECONDS)
 
 
 class _Server(ThreadingHTTPServer):
@@ -156,7 +185,11 @@ class _Handler(BaseHTTPRequestHandler):
             elif method == "POST" and rest == ["jobs"]:
                 self._submit(manager)
             elif method == "GET" and len(rest) == 2 and rest[0] == "jobs":
-                self._send(200, manager.get(rest[1]).summary())
+                record = manager.get(rest[1])
+                hold = _hold_seconds(query)
+                if hold is not None:
+                    record = manager.wait_settled(record.job_id, hold)
+                self._send(200, record.summary())
             elif (method == "GET" and len(rest) == 3 and rest[0] == "jobs"
                   and rest[2] == "result"):
                 self._result(manager, rest[1])
@@ -217,6 +250,9 @@ class _Handler(BaseHTTPRequestHandler):
             offset = int(query.get("offset", ["0"])[0])
         except ValueError:
             raise _RequestProblem(400, "offset must be an integer") from None
+        hold = _hold_seconds(query)
+        if hold is not None:
+            record = manager.wait_progress(record.job_id, offset, hold)
         events, next_offset = manager.store.read_progress(record.job_id, offset)
         self._send(200, {
             "job": record.job_id,

@@ -47,6 +47,7 @@ from repro.workloads.suite import make_workload  # noqa: F401
 
 __all__ = [
     "JOB_STATES",
+    "MAX_WAIT_SECONDS",
     "TERMINAL_STATES",
     "JobRecord",
     "JobSpec",
@@ -69,6 +70,11 @@ JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED, EXPIRED)
 #: re-submission (the result is served from disk); the unsuccessful
 #: three re-enter the queue when the same spec is submitted again.
 TERMINAL_STATES = (DONE, FAILED, CANCELLED, EXPIRED)
+
+#: Longest the daemon holds a ``?wait=`` status or progress request, in
+#: seconds; longer requests are clamped.  Below the client's default
+#: 30 s socket timeout, so a held answer always beats the timeout.
+MAX_WAIT_SECONDS = 20.0
 
 _VERIFY_MODES = ("off", "sampled", "full")
 

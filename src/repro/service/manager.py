@@ -27,11 +27,17 @@ Robustness invariants:
   the cells already computed are in the content-addressed cache, the
   job re-queues with ``reason="drain"``, and a later run (this process
   or the next) resumes from cache.
+- **Waiters hear every change.**  Each state transition, each flushed
+  ``job.cell`` progress event and the start of a drain notify one
+  condition on the manager's lock, so :meth:`wait_settled` and
+  :meth:`wait_progress` (the daemon's ``?wait=`` long-polls) answer the
+  moment a job settles instead of on a client's next poll.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -154,6 +160,9 @@ class JobManager:
         )
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
+        #: Notified on every job state transition, progress flush and
+        #: drain; long-polling status and progress requests wait on it.
+        self._changed = threading.Condition(self._lock)
         self.jobs: dict[str, JobRecord] = {}
         #: (ready_at on the monotonic clock, job_id) — a plain list
         #: scanned on claim; queues are tens of entries, not thousands.
@@ -305,6 +314,7 @@ class JobManager:
             record.state = CANCELLED
             record.finished_at = self.clock.wall()
             self.obs.inc("service.jobs_cancelled")
+            self._changed.notify_all()
             return record
 
     # -- queue mechanics ------------------------------------------------
@@ -325,6 +335,7 @@ class JobManager:
             now_wall = self.clock.wall()
             remaining: list[tuple[float, str]] = []
             claimed: JobRecord | None = None
+            expired = False
             for ready_at, job_id in sorted(self._ready):
                 record = self.jobs.get(job_id)
                 if claimed is not None or record is None or record.state != QUEUED:
@@ -342,6 +353,7 @@ class JobManager:
                     record.error = "deadline exceeded before start"
                     record.finished_at = now_wall
                     self.obs.inc("service.jobs_expired")
+                    expired = True
                     continue
                 if self.leases.claim(job_id) is None:
                     remaining.append((now_mono + 1.0, job_id))
@@ -353,6 +365,8 @@ class JobManager:
                                   attempt=record.attempts - 1, at=now_wall)
                 claimed = record
             self._ready = remaining
+            if claimed is not None or expired:
+                self._changed.notify_all()
             return claimed
 
     def next_ready_delay(self) -> float | None:
@@ -414,6 +428,7 @@ class JobManager:
             tracer.flush()
             self._maybe_heartbeat()
             with self._lock:
+                self._changed.notify_all()
                 if record.cancel_requested:
                     raise _JobInterrupted(CANCELLED)
                 if self._draining:
@@ -475,6 +490,7 @@ class JobManager:
                 record.error = "deadline exceeded"
                 record.finished_at = now
                 self.obs.inc("service.jobs_expired")
+            self._changed.notify_all()
 
     def _on_attempt_failed(self, record: JobRecord, exc: Exception) -> None:
         now = self.clock.wall()
@@ -503,6 +519,7 @@ class JobManager:
                 record.state = FAILED
                 record.finished_at = now
                 self.obs.inc("service.jobs_failed")
+            self._changed.notify_all()
 
     def _on_finished(self, record: JobRecord, grid: GridResult,
                      scheduler: SweepScheduler) -> None:
@@ -538,6 +555,7 @@ class JobManager:
             record.grid_signature = signature
             record.result_available = True
             self.obs.inc("service.jobs_done")
+            self._changed.notify_all()
 
     def run_once(self) -> bool:
         """Claim and execute at most one job (the worker-loop body)."""
@@ -554,6 +572,41 @@ class JobManager:
                 return
             self._work.wait(timeout)
 
+    # -- long polls -----------------------------------------------------
+    def wait_settled(self, job_id: str, timeout: float) -> JobRecord:
+        """The job's record once it is terminal, the manager drains, or
+        ``timeout`` seconds pass, whichever comes first."""
+        with self._changed:
+            record = self.get(job_id)
+            self._changed.wait_for(
+                lambda: record.state in TERMINAL_STATES or self._draining,
+                timeout,
+            )
+            return record
+
+    def wait_progress(self, job_id: str, offset: int,
+                      timeout: float) -> JobRecord:
+        """Like :meth:`wait_settled`, but also released once the job's
+        progress stream is no longer ``offset`` bytes long (it grew, or
+        a retry re-opened it)."""
+        with self._changed:
+            record = self.get(job_id)
+            path = self.store.events_path(record.job_id)
+
+            def moved() -> bool:
+                try:
+                    size = path.stat().st_size
+                except FileNotFoundError:
+                    size = 0
+                return size != offset
+
+            self._changed.wait_for(
+                lambda: (record.state in TERMINAL_STATES or self._draining
+                         or moved()),
+                timeout,
+            )
+            return record
+
     # -- drain ----------------------------------------------------------
     @property
     def draining(self) -> bool:
@@ -567,6 +620,7 @@ class JobManager:
                 return
             self._draining = True
             self._work.notify_all()
+            self._changed.notify_all()
         _LOG.warning("drain requested: admissions closed, "
                      "checkpointing in-flight jobs")
 
@@ -582,8 +636,15 @@ class JobManager:
     def stats(self) -> dict:
         with self._lock:
             by_state: dict[str, int] = {}
+            queue_wait: list[float] = []
+            run: list[float] = []
             for record in self.jobs.values():
                 by_state[record.state] = by_state.get(record.state, 0) + 1
+                if (record.state in TERMINAL_STATES
+                        and record.started_at is not None
+                        and record.finished_at is not None):
+                    queue_wait.append(record.started_at - record.submitted_at)
+                    run.append(record.finished_at - record.started_at)
             return {
                 "jobs": by_state,
                 "queue_depth": len(self._ready),
@@ -596,4 +657,23 @@ class JobManager:
                 "rejected_draining": self.rejected_draining,
                 "recovered_requeued": self.recovered_requeued,
                 "cache_root": str(self.cache.root),
+                # Stage latencies of the jobs that ran to a terminal
+                # state, from their journaled wall-clock stamps.
+                "latency_ms": {
+                    "finished_jobs": len(run),
+                    "queue_wait": _percentiles_ms(queue_wait),
+                    "run": _percentiles_ms(run),
+                },
             }
+
+
+def _percentiles_ms(seconds: list[float]) -> dict:
+    """Nearest-rank p50 and p90 of ``seconds``, in milliseconds."""
+    ordered = sorted(seconds)
+
+    def rank(q: float) -> float | None:
+        if not ordered:
+            return None
+        return ordered[max(0, math.ceil(q * len(ordered)) - 1)] * 1000.0
+
+    return {"p50": rank(0.5), "p90": rank(0.9)}

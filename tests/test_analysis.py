@@ -146,50 +146,3 @@ class TestCharacterize:
         text = report.render()
         assert "reuse distances" in text
         assert "single-use fraction" in text
-
-
-class TestSetPressure:
-    def test_uniform_load_low_gini(self):
-        from repro.analysis.setpressure import SetPressureProfile
-
-        profile = SetPressureProfile(counts=[10] * 64)
-        assert profile.gini == pytest.approx(0.0, abs=1e-9)
-        assert profile.cold_set_fraction == 0.0
-
-    def test_skewed_load_high_gini(self):
-        from repro.analysis.setpressure import SetPressureProfile
-
-        profile = SetPressureProfile(counts=[0] * 63 + [1000])
-        assert profile.gini > 0.9
-        assert profile.hottest_set == 63
-        assert profile.cold_set_fraction > 0.9
-
-    def test_empty_profile(self):
-        from repro.analysis.setpressure import SetPressureProfile
-
-        profile = SetPressureProfile(counts=[])
-        assert profile.gini == 0.0
-        assert profile.render() == "(empty)"
-
-    def test_icache_pressure_from_workload(self):
-        from repro.analysis.setpressure import icache_set_pressure
-
-        workload = make_workload(
-            "w", Category.SHORT_MOBILE, seed=4, trace_scale=0.02, footprint_scale=0.3
-        )
-        profile = icache_set_pressure(workload.records(1500))
-        assert profile.total > 0
-        assert 0.0 <= profile.gini <= 1.0
-        assert "gini=" in profile.render()
-
-    def test_btb_pressure_counts_taken_non_returns(self):
-        from repro.analysis.setpressure import btb_set_pressure
-        from repro.traces.record import BranchRecord, BranchType
-
-        records = [
-            BranchRecord(0x1000, BranchType.CALL, True, 0x2000),
-            BranchRecord(0x2004, BranchType.RETURN, True, 0x1004),   # excluded
-            BranchRecord(0x1004, BranchType.CONDITIONAL, False, 0x3000),  # not taken
-        ]
-        profile = btb_set_pressure(records, num_sets=16)
-        assert profile.total == 1

@@ -1,11 +1,15 @@
-"""Cold start: the sweep, service and CLI paths never import scipy.
+"""Cold start: the sweep, service and CLI paths never import scipy, and
+the package and the service client never import numpy.
 
 scipy supplies one number in the package, the t quantile of Figure 8's
 confidence interval (:func:`repro.stats.ci.relative_difference_ci`), and
-importing it costs more than importing the rest of the sweep path.  Every
-short-lived process (a ``repro-sim`` call, a spawned sweep worker, the job
-daemon) pays for what it imports, so these checks run in a fresh
-interpreter in which any ``import scipy`` raises ``ImportError``.
+importing it costs more than importing the rest of the sweep path.  numpy
+is the next largest import; the client side of the job service (``import
+repro``, :class:`~repro.service.client.ServiceClient`, ``repro-sim client``)
+never touches an array.  Every short-lived process (a ``repro-sim`` call,
+a spawned sweep worker, the job daemon, a client) pays for what it
+imports, so these checks run in a fresh interpreter in which the import
+raises ``ImportError``.
 """
 
 import json
@@ -40,6 +44,25 @@ assert grid.cell("lru", "w").instructions > 0
 
 try:
     repro.cli.main(["--help"])
+except SystemExit as done:
+    assert done.code in (0, None), done.code
+"""
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+
+import repro
+import repro.experiments
+import repro.service.client
+from repro.service import ServiceClient
+
+assert ServiceClient("http://127.0.0.1:1").endpoint == "http://127.0.0.1:1"
+
+import repro.cli
+
+try:
+    repro.cli.main(["client", "--help"])
 except SystemExit as done:
     assert done.code in (0, None), done.code
 """
@@ -83,6 +106,12 @@ def test_sweep_service_and_cli_run_without_scipy(tmp_path):
     child = run_python(_WITHOUT_SCIPY, str(tmp_path / "cache"))
     assert child.returncode == 0, child.stderr
     assert "usage: repro-sim" in child.stdout
+
+
+def test_package_client_and_client_help_run_without_numpy():
+    child = run_python(_WITHOUT_NUMPY)
+    assert child.returncode == 0, child.stderr
+    assert "usage: repro-sim client" in child.stdout
 
 
 def test_interval_is_identical_with_scipy_loaded_late_or_early():

@@ -10,6 +10,10 @@ drills (kill -9 the daemon, SIGTERM drain, the HTTP surface) live in
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 import repro.workloads.suite as suite_module
@@ -413,6 +417,137 @@ class TestExecution:
         manager.run_once()
         assert faults.heartbeats_seen >= 2
         assert faults.heartbeats_dropped == 1
+
+
+# ---------------------------------------------------------------------------
+# Long polls: the holds behind ``?wait=`` and the stage latencies in stats
+# ---------------------------------------------------------------------------
+def _hold_in_thread(hold, *args) -> tuple[threading.Thread, list]:
+    """Run ``hold(*args)`` on a thread; its return value lands in the list."""
+    returned: list = []
+    thread = threading.Thread(target=lambda: returned.append(hold(*args)),
+                              daemon=True)
+    thread.start()
+    return thread, returned
+
+
+class TestLongPoll:
+    def test_hold_returns_at_once_for_a_terminal_job(self, tmp_path, clock):
+        manager = manager_for(tmp_path, clock)
+        record, _ = manager.submit(payload())
+        manager.run_once()
+        began = time.monotonic()
+        assert manager.wait_settled(record.job_id, 30.0) is record
+        assert manager.wait_progress(record.job_id, 0, 30.0) is record
+        assert time.monotonic() - began < 5.0
+        assert record.state == DONE
+
+    def test_hold_on_a_running_job_returns_when_it_settles(self, tmp_path, clock):
+        manager = manager_for(tmp_path, clock)
+        record, _ = manager.submit(payload())
+        claimed = manager.claim_next()
+        assert claimed is record and record.state == RUNNING
+        waiter, returned = _hold_in_thread(manager.wait_settled,
+                                           record.job_id, 30.0)
+        waiter.join(0.2)
+        assert waiter.is_alive()  # held: the job has not settled
+        manager.execute(claimed)
+        waiter.join(10.0)
+        assert not waiter.is_alive()
+        assert returned == [record] and record.state == DONE
+        # Nothing advanced the manual clock: the hold reads no clock.
+        assert clock.sleeps == []
+
+    def test_progress_hold_returns_on_the_first_cell_flush(self, tmp_path, clock):
+        manager = manager_for(tmp_path, clock)
+        record, _ = manager.submit(payload(policies=["lru", "random"]))
+        claimed = manager.claim_next()
+        waiter, returned = _hold_in_thread(manager.wait_progress,
+                                           record.job_id, 0, 30.0)
+        seen: list[str] = []
+
+        def before_second_cell() -> None:
+            # Runs after the first cell's event is flushed: the hold must
+            # already be released while the job is still running.
+            if faults.cells_stalled == 2:
+                waiter.join(10.0)
+                seen.append("released" if not waiter.is_alive() else "held")
+                seen.append(record.state)
+
+        faults = ServiceFaultPlan(stall_cells=2, stall=before_second_cell)
+        manager.faults = faults
+        manager.execute(claimed)
+        assert seen == ["released", RUNNING]
+        assert returned == [record]
+        events, _ = manager.store.read_progress(record.job_id)
+        assert [e["kind"] for e in events].count("job.cell") == 2
+
+    def test_drain_releases_a_hold_on_a_queued_job(self, tmp_path, clock):
+        manager = manager_for(tmp_path, clock)
+        record, _ = manager.submit(payload())
+        waiter, returned = _hold_in_thread(manager.wait_settled,
+                                           record.job_id, 30.0)
+        waiter.join(0.2)
+        assert waiter.is_alive()
+        manager.begin_drain()
+        waiter.join(10.0)
+        assert not waiter.is_alive()
+        assert returned == [record] and record.state == QUEUED
+
+    def test_no_waiter_misses_its_job_settling(self, tmp_path, clock):
+        # More worker threads than cores and a tiny switch interval, so
+        # transitions race the waiters' predicate checks; a lost wake-up
+        # leaves a waiter held for its full 30 s.
+        manager = manager_for(tmp_path, clock, config=ServiceConfig(
+            workers=3, max_queue_depth=8))
+        records = [manager.submit(payload(seed=seed))[0] for seed in range(1, 5)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            waiters = [
+                _hold_in_thread(hold, *args)
+                for record in records
+                for hold, args in (
+                    (manager.wait_settled, (record.job_id, 30.0)),
+                    (manager.wait_progress, (record.job_id, 0, 30.0)),
+                )
+            ]
+            def work() -> None:
+                while manager.run_once():
+                    pass
+
+            workers = [threading.Thread(target=work, daemon=True)
+                       for _ in range(3)]
+            for worker in workers:
+                worker.start()
+            for thread in workers + [thread for thread, _ in waiters]:
+                thread.join(20.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert all(record.state == DONE for record in records)
+        assert all(len(returned) == 1 for _, returned in waiters)
+
+    def test_stats_report_queue_wait_and_run_percentiles(self, tmp_path, clock):
+        faults = ServiceFaultPlan(stall_cells=10,
+                                  stall=lambda: clock.advance(3.0))
+        manager = manager_for(tmp_path, clock, faults=faults)
+        assert manager.stats()["latency_ms"] == {
+            "finished_jobs": 0,
+            "queue_wait": {"p50": None, "p90": None},
+            "run": {"p50": None, "p90": None},
+        }
+        manager.submit(payload(seed=1))
+        manager.submit(payload(seed=2))
+        cancelled, _ = manager.submit(payload(seed=3))
+        manager.cancel(cancelled.job_id)  # never started: not counted
+        clock.advance(2.0)
+        manager.run_once()  # queued 2 s, one 3 s cell
+        manager.run_once()  # queued 5 s, one 3 s cell
+        latency = manager.stats()["latency_ms"]
+        assert latency["finished_jobs"] == 2
+        assert latency["queue_wait"] == {"p50": 2000.0, "p90": 5000.0}
+        assert latency["run"] == {"p50": 3000.0, "p90": 3000.0}
 
 
 def cells_of(document) -> list[dict]:

@@ -18,12 +18,16 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
 
+import repro.service.daemon as daemon_module
 from repro.experiments.cellcache import CellCache, read_checked_json
+from repro.experiments.faults import ServiceFaultPlan
 from repro.experiments.journal import CellJournal
+from repro.frontend.config import FrontEndConfig
 from repro.service import (
     JobManager,
     ManualClock,
@@ -32,7 +36,14 @@ from repro.service import (
     ServiceDaemon,
     ServiceError,
 )
-from repro.service.jobs import CANCELLED, DONE, QUEUED, TERMINAL_STATES, JobStore
+from repro.service.jobs import (
+    CANCELLED,
+    DONE,
+    QUEUED,
+    RUNNING,
+    TERMINAL_STATES,
+    JobStore,
+)
 
 TINY_CONFIG = {
     "icache_bytes": 8 * 1024,
@@ -167,6 +178,200 @@ class TestHttpSurface:
         assert stats["accepted"] >= 1
         assert stats["jobs"].get(DONE, 0) >= 1
         assert not stats["draining"]
+
+
+# ---------------------------------------------------------------------------
+# Long polls: ?wait= holds a status or progress request until the job settles
+# ---------------------------------------------------------------------------
+class CountingClient(ServiceClient):
+    """Counts the status and progress requests the polling loops make."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.status_calls = 0
+        self.events_calls = 0
+
+    def status(self, job_id, **kwargs):
+        self.status_calls += 1
+        return super().status(job_id, **kwargs)
+
+    def events(self, job_id, offset=0, **kwargs):
+        self.events_calls += 1
+        return super().events(job_id, offset, **kwargs)
+
+
+class CellGate:
+    """A fault-plan stall hook.  While closed, the worker waits before it
+    reports each job cell from the ``hold_from``-th on (counted from
+    :meth:`close`), and :attr:`waiting` is set."""
+
+    def __init__(self):
+        self._open = threading.Event()
+        self._open.set()
+        self.waiting = threading.Event()
+        self.cells = 0
+        self.hold_from = 1
+
+    def close(self, hold_from: int = 1) -> None:
+        self.cells = 0
+        self.hold_from = hold_from
+        self.waiting.clear()
+        self._open.clear()
+
+    def open(self) -> None:
+        self._open.set()
+
+    def __call__(self) -> None:
+        self.cells += 1
+        if self.cells >= self.hold_from and not self._open.is_set():
+            self.waiting.set()
+            self._open.wait(60)
+
+
+def gated_daemon(tmp_path) -> tuple[ServiceDaemon, CellGate]:
+    gate = CellGate()
+    manager = JobManager(
+        tmp_path / "svc", config=ServiceConfig(workers=1, max_queue_depth=8),
+        faults=ServiceFaultPlan(stall_cells=10_000, stall=gate),
+    )
+    return ServiceDaemon(manager, port=0, poll_seconds=0.05), gate
+
+
+@pytest.fixture
+def gated(tmp_path):
+    """A started one-worker daemon whose job cells a :class:`CellGate`
+    can hold."""
+    daemon, gate = gated_daemon(tmp_path)
+    daemon.start()
+    yield daemon, gate
+    gate.open()
+    daemon.request_drain()
+    daemon.wait()
+
+
+def cached_twin(body: dict) -> dict:
+    """Another job id over the same cells: spell out one default field."""
+    twin = json.loads(json.dumps(body))
+    twin["config"]["warmup_fraction"] = FrontEndConfig().warmup_fraction
+    return twin
+
+
+class TestLongPoll:
+    def test_wait_answers_when_a_cached_job_settles(self, gated):
+        daemon, gate = gated
+        client = CountingClient(daemon.endpoint)
+        first = client.submit(payload())
+        client.wait(first["job"], poll_seconds=0.05, timeout=120)
+
+        gate.close()  # hold the cached job's one cell for ~0.3 s
+        second = client.submit(cached_twin(payload()))
+        assert second["created"] and second["job"] != first["job"]
+        threading.Timer(0.3, gate.open).start()
+        client.status_calls = 0
+        began = time.monotonic()
+        final = client.wait(second["job"], poll_seconds=5.0, timeout=60)
+        elapsed = time.monotonic() - began
+        assert final["state"] == DONE
+        # One held request, answered when the job settled; a sleep-poll
+        # would have asked twice and slept the full 5 s between.
+        assert client.status_calls == 1
+        assert elapsed < 2.5
+        assert client.result(second["job"])["stats"]["computed"] == 0
+
+    def test_drain_releases_a_held_status_and_the_daemon_exits_zero(
+        self, tmp_path
+    ):
+        daemon, gate = gated_daemon(tmp_path)
+        exit_codes: list[int] = []
+        server = threading.Thread(
+            target=lambda: exit_codes.append(
+                daemon.serve(install_signal_handlers=False)),
+            daemon=True,
+        )
+        server.start()
+        try:
+            client = ServiceClient(daemon.endpoint)
+            gate.close()
+            client.submit(payload(seeds=(1,)))  # occupies the one worker
+            queued = client.submit(payload(seeds=(2,)))
+            assert gate.waiting.wait(60)
+            answers: list[tuple[dict, float]] = []
+
+            def hold():
+                began = time.monotonic()
+                summary = client.status(queued["job"], wait=15.0)
+                answers.append((summary, time.monotonic() - began))
+
+            holder = threading.Thread(target=hold, daemon=True)
+            holder.start()
+            holder.join(0.3)
+            assert holder.is_alive()  # held: the job is still queued
+            daemon.request_drain()
+            holder.join(10.0)
+            assert not holder.is_alive()
+            ((summary, elapsed),) = answers
+            assert summary["state"] == QUEUED
+            assert elapsed < 5.0
+        finally:
+            gate.open()  # the running job checkpoints at this cell
+            server.join(60)
+        assert not server.is_alive()
+        assert exit_codes == [0]
+        assert not daemon.endpoint_path.exists()
+
+    def test_wait_parameter_is_validated_and_clamped(self, gated, monkeypatch):
+        daemon, gate = gated
+        client = ServiceClient(daemon.endpoint)
+        gate.close()
+        job = client.submit(payload())["job"]
+        for bad in ("abc", "-1", "nan"):
+            for path in (f"/v1/jobs/{job}?wait={bad}",
+                         f"/v1/jobs/{job}/events?offset=0&wait={bad}"):
+                status, document, _ = client._request("GET", path)
+                assert status == 400, (path, document)
+                assert "wait" in document["error"]
+        # A hold past the cap is cut to the cap: 0.3 s here, not 1000 s.
+        monkeypatch.setattr(daemon_module, "MAX_WAIT_SECONDS", 0.3)
+        assert gate.waiting.wait(60)  # running, its first cell held
+        began = time.monotonic()
+        summary = client.status(job, wait=1000)
+        elapsed = time.monotonic() - began
+        assert summary["state"] == RUNNING
+        assert 0.25 <= elapsed < 10.0
+
+    def test_watch_yields_every_cell_in_fewer_requests(self, gated):
+        daemon, gate = gated
+        client = CountingClient(daemon.endpoint)
+        cells = 4
+        gate.close(hold_from=cells)  # three cells report, the fourth waits
+        job = client.submit(payload(policies=["lru", "random"],
+                                    seeds=(1, 2)))["job"]
+        assert gate.waiting.wait(120)
+        threading.Timer(0.3, gate.open).start()
+        began = time.monotonic()
+        events = list(client.watch(job, poll_seconds=5.0, timeout=120))
+        elapsed = time.monotonic() - began
+        kinds = [event.get("kind") for event in events]
+        assert kinds.count("job.cell") == cells
+        assert kinds[-1] == "job.state" and events[-1]["state"] == DONE
+        assert client.events_calls < cells + 1
+        assert elapsed < 2.5
+
+    def test_client_stopwatch_covers_queue_wait_plus_run(self, client):
+        bodies = [payload(seeds=(seed,)) for seed in (1, 2, 3)]
+        for body in bodies:
+            began = time.monotonic()
+            summary = client.submit(body)
+            final = client.wait(summary["job"], poll_seconds=1.0, timeout=120)
+            stopwatch = time.monotonic() - began
+            queue_wait = final["started_at"] - final["submitted_at"]
+            run = final["finished_at"] - final["started_at"]
+            assert queue_wait >= 0 and run >= 0
+            assert stopwatch >= queue_wait + run
+        latency = client.stats()["latency_ms"]
+        assert latency["finished_jobs"] == len(bodies)
+        for stage in ("queue_wait", "run"):
+            assert 0 <= latency[stage]["p50"] <= latency[stage]["p90"]
 
 
 # ---------------------------------------------------------------------------
