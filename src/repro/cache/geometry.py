@@ -87,6 +87,17 @@ class CacheGeometry:
         """Tag bits of an address (everything above index + offset)."""
         return address >> (self.offset_bits + self.index_bits)
 
+    def find_way(self, tag_rows: list[list[int]], address: int) -> int | None:
+        """Way of ``tag_rows`` holding ``address``'s block, or None.
+
+        ``tag_rows`` is a structure's per-set tag list, one row per set,
+        as :class:`~repro.cache.set_assoc.SetAssociativeCache` keeps it.
+        """
+        try:
+            return tag_rows[self.set_index(address)].index(self.tag(address))
+        except ValueError:
+            return None
+
     def rebuild_address(self, set_index: int, tag: int) -> int:
         """Inverse of (:meth:`set_index`, :meth:`tag`): the block address."""
         return (tag << (self.offset_bits + self.index_bits)) | (set_index << self.offset_bits)

@@ -68,9 +68,9 @@ class ReplacementPolicy(abc.ABC):
 
     def __init__(self) -> None:
         self._geometry: "CacheGeometry | None" = None
-        # Back-reference set by SetAssociativeCache after bind(); lets
-        # metadata-coupled policies (GHRP's BTB mode) probe their structure.
-        self.attached_cache: object | None = None
+        # The owning structure's per-set tag rows (aliased), handed over by
+        # SetAssociativeCache after bind(); see attach_tag_rows().
+        self._tag_rows: list[list[int]] | None = None
 
     @property
     def geometry(self) -> "CacheGeometry":
@@ -88,6 +88,16 @@ class ReplacementPolicy(abc.ABC):
             raise PolicyError(f"policy {type(self).__name__} is already bound")
         self._geometry = geometry
         self._allocate_state(geometry)
+
+    def attach_tag_rows(self, tag_rows: list[list[int]]) -> None:
+        """Receive the owning structure's per-set tag rows (after bind()).
+
+        With the geometry from :meth:`bind`, the rows are all a probe
+        reads (:meth:`CacheGeometry.find_way`), so metadata-coupled
+        policies (GHRP's I-cache side, which its BTB probes) never hold a
+        reference back to their cache.
+        """
+        self._tag_rows = tag_rows
 
     @abc.abstractmethod
     def _allocate_state(self, geometry: "CacheGeometry") -> None:

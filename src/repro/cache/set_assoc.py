@@ -55,9 +55,7 @@ class SetAssociativeCache:
         obs_scope: str = "cache",
     ):
         self.geometry = geometry
-        self.policy = policy
         policy.bind(geometry)
-        policy.attached_cache = self
         self.obs = obs
         self.obs_scope = obs_scope
         self.stats = CacheStats()
@@ -68,11 +66,18 @@ class SetAssociativeCache:
         self._tags = [
             [_INVALID_TAG] * geometry.associativity for _ in range(geometry.num_sets)
         ]
+        # The policy gets the rows, not the cache: a policy holding its
+        # cache would put every cell's state in a reference cycle.
+        policy.attach_tag_rows(self._tags)
         # Hot-path address slicing, precomputed from the geometry.
         self._block_mask = ~(geometry.block_size - 1)
         self._offset_bits = geometry.offset_bits
         self._index_mask = geometry.num_sets - 1
         self._tag_shift = geometry.offset_bits + geometry.index_bits
+        # Assigned last, so a pickle of the cache stores the tag rows here
+        # before the policy's alias of them: the earlier, smaller memo
+        # indices keep warm-up snapshots compact.
+        self.policy = policy
 
     def access(self, address: int, pc: int | None = None) -> AccessResult:
         """Perform one demand access to the block containing ``address``.
@@ -178,13 +183,7 @@ class SetAssociativeCache:
 
     def probe(self, address: int) -> int | None:
         """Return the way holding ``address``'s block, without side effects."""
-        block = self.geometry.block_address(address)
-        set_index = self.geometry.set_index(block)
-        tag = self.geometry.tag(block)
-        for way, stored in enumerate(self._tags[set_index]):
-            if stored == tag:
-                return way
-        return None
+        return self.geometry.find_way(self._tags, address)
 
     def contains(self, address: int) -> bool:
         """Whether the block containing ``address`` is resident."""

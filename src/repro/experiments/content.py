@@ -64,9 +64,11 @@ CELL_DIGEST_SCHEMA = 1
 #: changes shape (format 2: derivable signature tables and the SDBP
 #: sampler pickle compactly; format 3: kernels without per-access state
 #: and a fast front end carrying its fault arm; format 4: a front end
-#: without the three extension-hook attributes of earlier releases);
-#: results and ``cell_digest`` are unaffected.
-SNAPSHOT_FORMAT = 4
+#: without the three extension-hook attributes of earlier releases;
+#: format 5: policies holding their cache's tag rows instead of the
+#: cache, and one pickle-by-key signature-index memo); results and
+#: ``cell_digest`` are unaffected.
+SNAPSHOT_FORMAT = 5
 
 
 def _library_version() -> str:

@@ -75,8 +75,9 @@ class CellJournal:
 
     Appends are flushed and fsynced line-by-line: an event is either
     durably in the journal or absent — there is no "maybe logged" state
-    for the replay to misread.  The file is opened lazily and kept open
-    for the scheduler's lifetime.
+    for the replay to misread.  The file is opened lazily, on the first
+    append, and :meth:`close` releases it (a scheduler closes it at the
+    end of every run; a later append reopens it).
     """
 
     def __init__(self, path: str | Path):

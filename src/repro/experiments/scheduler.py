@@ -295,42 +295,47 @@ class SweepScheduler:
         failures: dict[int, FailedCell] = {}
         pending: list[_Cell] = []
 
-        for cell in cells:
-            if cell.duplicate_of is not None or not cell.owned:
-                continue
-            hit = self.cache.get(cell.digest)
-            if hit is not None:
-                problem = validate_cell(hit, cell.policy, cell.workload.name)
-                if problem is None:
-                    results[cell.slot] = hit
-                    self.stats.cache_hits += 1
-                    self.obs.inc("scheduler.cache_hits")
-                    self.journal.append("cache_hit", cell.digest)
-                    if progress is not None:
-                        progress(hit)
+        try:
+            for cell in cells:
+                if cell.duplicate_of is not None or not cell.owned:
                     continue
-                # A digest collision or foreign entry: impossible in
-                # practice, but never serve a result pinned to the wrong
-                # cell — recompute instead.
-                _LOG.warning(
-                    "cache entry %s failed identity check (%s); recomputing",
-                    cell.digest[:12], problem,
-                )
-            self.stats.cache_misses += 1
-            self.obs.inc("scheduler.cache_misses")
-            pending.append(cell)
+                hit = self.cache.get(cell.digest)
+                if hit is not None:
+                    problem = validate_cell(hit, cell.policy, cell.workload.name)
+                    if problem is None:
+                        results[cell.slot] = hit
+                        self.stats.cache_hits += 1
+                        self.obs.inc("scheduler.cache_hits")
+                        self.journal.append("cache_hit", cell.digest)
+                        if progress is not None:
+                            progress(hit)
+                        continue
+                    # A digest collision or foreign entry: impossible in
+                    # practice, but never serve a result pinned to the wrong
+                    # cell — recompute instead.
+                    _LOG.warning(
+                        "cache entry %s failed identity check (%s); recomputing",
+                        cell.digest[:12], problem,
+                    )
+                self.stats.cache_misses += 1
+                self.obs.inc("scheduler.cache_misses")
+                pending.append(cell)
 
-        if pending:
-            # Replay only when something runs: the journal's one input to
-            # a run is the attempt count of each pending cell, and the
-            # completed set is the cache itself.
-            journal_state = self.journal.replay()
-            if self.supervisor is not None:
-                self._run_supervised(pending, results, failures, journal_state,
+            if pending:
+                # Replay only when something runs: the journal's one input to
+                # a run is the attempt count of each pending cell, and the
+                # completed set is the cache itself.
+                journal_state = self.journal.replay()
+                if self.supervisor is not None:
+                    self._run_supervised(pending, results, failures, journal_state,
+                                         progress)
+                else:
+                    self._run_inline(pending, results, failures, journal_state,
                                      progress)
-            else:
-                self._run_inline(pending, results, failures, journal_state,
-                                 progress)
+        finally:
+            # The journal opens on the first append; closing it here means
+            # no run, even an interrupted one, leaves its handle to the GC.
+            self.journal.close()
         self.leases.release_all()
         self.stats.lease_conflicts = self.leases.conflicts
         self.stats.leases_recovered = self.leases.recovered

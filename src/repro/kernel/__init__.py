@@ -14,9 +14,9 @@ This package is a *semantic twin* of the reference simulation stack
   **aliased**, not copied: kernels mutate the reference objects' own state
   lists in place, so mid-run introspection (``probe``, telemetry) and
   end-of-run state comparisons see exactly the reference layout;
-- signature hashing goes through the process-wide full-space table of
-  :func:`repro.util.hashing.full_space_table`, shared read-only by every
-  kernel and pickled as its key;
+- signature hashing goes through the process-wide full-space index
+  columns of :func:`repro.util.hashing.skewed_index_columns`, shared
+  read-only by every kernel and pickled as their key;
 - scalar state (path histories, statistic counters, telemetry) is kept in
   kernel-local integers and flushed back at synchronization points (chunk
   barriers, the warm-up boundary, and end of run).

@@ -23,7 +23,7 @@ from repro.kernel.base import (
 )
 from repro.policies.sdbp import SDBPPolicy
 from repro.util.bits import mask
-from repro.util.hashing import full_space_table, skewed_index_columns
+from repro.util.hashing import skewed_index_columns
 
 __all__ = ["SDBPKernel"]
 
@@ -45,11 +45,11 @@ class SDBPKernel(CacheKernel):
         self._sampler_clock = policy._sampler_clock
         self._tables_bank = bank
         self._counter_rows = list(bank._tables)  # outer copy, rows aliased
-        self._lookup = full_space_table(
+        # The process-wide memo; it pickles as its key, so a snapshot of
+        # this kernel carries no copy of the columns.
+        self._columns = skewed_index_columns(
             bank.num_tables, bank.index_bits, config.signature_bits
         )
-        self._num_tables = bank.num_tables
-        self._index_bits = bank.index_bits
         self._counter_max = bank.counter_max
         self._sig_mask = mask(config.signature_bits)
         self._sampler_tag_mask = mask(config.sampler_tag_bits)
@@ -83,27 +83,34 @@ class SDBPKernel(CacheKernel):
     # Flattened predictor operations
     # ------------------------------------------------------------------
     def _counter_sum(self, signature: int) -> int:
-        # Direct lookup: the table covers the whole signature space.
-        idx = self._lookup[signature]
-        total = 0
-        for row, index in zip(self._counter_rows, idx, strict=True):
-            total += row[index]
-        return total
+        # Direct lookup: the columns cover the whole signature space, and
+        # unsupported_reason guarantees three tables.
+        (c0, c1, c2), _columns_np = self._columns
+        r0, r1, r2 = self._counter_rows
+        return r0[c0[signature]] + r1[c1[signature]] + r2[c2[signature]]
 
     def _train(self, signature: int, is_dead: bool) -> None:
-        idx = self._lookup[signature]
+        (c0, c1, c2), _columns_np = self._columns
+        r0, r1, r2 = self._counter_rows
+        i0 = c0[signature]
+        i1 = c1[signature]
+        i2 = c2[signature]
         if is_dead:
             counter_max = self._counter_max
-            for row, index in zip(self._counter_rows, idx, strict=True):
-                value = row[index]
-                if value < counter_max:
-                    row[index] = value + 1
+            if r0[i0] < counter_max:
+                r0[i0] += 1
+            if r1[i1] < counter_max:
+                r1[i1] += 1
+            if r2[i2] < counter_max:
+                r2[i2] += 1
             self._d_increments += 1
         else:
-            for row, index in zip(self._counter_rows, idx, strict=True):
-                value = row[index]
-                if value > 0:
-                    row[index] = value - 1
+            if r0[i0] > 0:
+                r0[i0] -= 1
+            if r1[i1] > 0:
+                r1[i1] -= 1
+            if r2[i2] > 0:
+                r2[i2] -= 1
             self._d_decrements += 1
 
     def _sampler_access(self, set_index: int, block: int, pc: int) -> None:
@@ -217,12 +224,6 @@ class SDBPKernel(CacheKernel):
     # ------------------------------------------------------------------
     # Batch executors
     # ------------------------------------------------------------------
-    def _signature_columns(self):
-        """Full-space signature → per-table index columns (process memo)."""
-        return skewed_index_columns(
-            self._num_tables, self._index_bits, self._sig_mask.bit_length()
-        )
-
     @classmethod
     def unsupported_reason(cls, policy, structure: str) -> str | None:
         num_tables = policy.tables.num_tables
@@ -243,7 +244,7 @@ class SDBPKernel(CacheKernel):
         def build():
             np = _np
             sig = (np.asarray(pcs, dtype=np.int64) >> 2) & self._sig_mask
-            _cols, cols_np = self._signature_columns()
+            _cols, cols_np = self._columns
             return tuple(col[sig].tolist() for col in cols_np)
 
         i0a, i1a, i2a = tokens.view(key, build)

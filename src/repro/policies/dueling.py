@@ -62,10 +62,10 @@ class SetDuelingPolicy(ReplacementPolicy):
             if s + stride // 2 < num_sets
         } - self._a_leaders
 
-    def bind(self, geometry: CacheGeometry) -> None:  # keep children attached
-        super().bind(geometry)
-        # The engine sets attached_cache after bind(); propagate lazily in
-        # the first event instead (children mostly don't need it).
+    def attach_tag_rows(self, tag_rows: list[list[int]]) -> None:
+        super().attach_tag_rows(tag_rows)
+        self.policy_a.attach_tag_rows(tag_rows)
+        self.policy_b.attach_tag_rows(tag_rows)
 
     def _decider(self, set_index: int) -> ReplacementPolicy:
         if set_index in self._a_leaders:
@@ -94,9 +94,6 @@ class SetDuelingPolicy(ReplacementPolicy):
     # Events: both children observe everything; decisions are arbitrated.
     # ------------------------------------------------------------------
     def on_hit(self, set_index: int, way: int, ctx: AccessContext) -> None:
-        if self.policy_a.attached_cache is None:
-            self.policy_a.attached_cache = self.attached_cache
-            self.policy_b.attached_cache = self.attached_cache
         self.policy_a.on_hit(set_index, way, ctx)
         self.policy_b.on_hit(set_index, way, ctx)
 

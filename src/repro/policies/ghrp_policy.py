@@ -158,10 +158,9 @@ class GHRPPolicy(ReplacementPolicy):
         for that branch's block in the I-cache is used to index the I-cache
         GHRP prediction tables".  Returns None when the block is absent.
         """
-        cache = self.attached_cache
-        if cache is None:
+        if self._tag_rows is None:
             return None
-        way = cache.probe(pc)  # type: ignore[attr-defined]
+        way = self.geometry.find_way(self._tag_rows, pc)
         if way is None:
             return None
         set_index = self.geometry.set_index(pc)

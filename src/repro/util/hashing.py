@@ -21,8 +21,7 @@ __all__ = [
     "mix64",
     "skewed_indices",
     "skewed_index_columns",
-    "full_space_table",
-    "FullSpaceIndexTable",
+    "SkewedIndexColumns",
 ]
 
 _U64 = (1 << 64) - 1
@@ -89,59 +88,63 @@ def skewed_indices(signature: int, num_tables: int, index_bits: int) -> tuple[in
     )
 
 
-class FullSpaceIndexTable(dict):
-    """Signature → per-table indices over a whole signature space.
+class SkewedIndexColumns(tuple):
+    """``(columns, columns_np)``: signature → per-table index, by column.
 
     Signatures are narrow (12-16 bits), so the whole hash pipeline is
     tabulable: the batched simulation kernels resolve a signature to its
-    ``num_tables`` indices with one dict lookup instead of ``num_tables``
-    splitmix64 rounds.  The table is a pure function of :attr:`key`
-    ``(num_tables, index_bits, signature_bits)``, built once per process
-    by :func:`full_space_table` and never mutated afterwards, so kernels
-    index it directly with no miss path.  It pickles as its key and
-    unpickles as the receiving process's own memo: an engine snapshot
-    carries three integers instead of the table, and every kernel that
-    shared the table before pickling shares it afterwards.
+    table indices with one list subscript per table instead of
+    splitmix64 rounds.  ``columns`` holds one Python list per table,
+    indexed directly by signature, for the scalar hot paths;
+    ``columns_np`` holds the same values as contiguous int64 arrays for
+    vectorized signature lowering.  The list entries are drawn from one
+    shared pool of ``range(1 << index_bits)`` ints, so a column costs one
+    pointer per signature.
+
+    The value is a pure function of :attr:`key` ``(num_tables,
+    index_bits, signature_bits)``, built once per process by
+    :func:`skewed_index_columns` and never mutated afterwards.  It
+    pickles as its key and unpickles as the receiving process's own memo:
+    an engine snapshot carries three integers instead of the columns, and
+    every kernel that shared them before pickling shares them afterwards.
     """
 
-    __slots__ = ("key",)
-
     def __reduce__(self):
-        return (full_space_table, self.key)
+        return (skewed_index_columns, self.key)
 
 
-# Process-wide memos for the full-signature-space tables.  The values are
+# Process-wide memo of the full-signature-space columns.  The values are
 # pure functions of the key (deterministic hash pipeline over a fixed
 # range) and are never mutated after construction, so sharing them across
 # banks/kernels cannot couple simulations.
-_FULL_TABLE_MEMO: dict[tuple[int, int, int], FullSpaceIndexTable] = {}
-_COLUMN_MEMO: dict[tuple[int, int, int], tuple] = {}
+_COLUMN_MEMO: dict[tuple[int, int, int], SkewedIndexColumns] = {}
 
 
-def full_space_table(
+def skewed_index_columns(
     num_tables: int, index_bits: int, signature_bits: int
-) -> FullSpaceIndexTable:
-    """The memoized full-space signature → indices table (shared; read-only).
+) -> SkewedIndexColumns:
+    """The memoized full-space index columns (shared; read-only).
 
-    Bit-identical to :func:`skewed_indices` for every signature; computed
-    vectorized in numpy.
+    Bit-identical to :func:`skewed_indices` for every signature: the
+    splitmix64 rounds and the XOR fold run vectorized in numpy over the
+    whole signature space.
     """
     key = (num_tables, index_bits, signature_bits)
-    table = _FULL_TABLE_MEMO.get(key)
-    if table is not None:
-        return table
+    cached = _COLUMN_MEMO.get(key)
+    if cached is not None:
+        return cached
     if not 1 <= num_tables <= len(_TABLE_TWEAKS):
         raise ValueError(
             f"num_tables must be in [1, {len(_TABLE_TWEAKS)}], got {num_tables}"
         )
     if index_bits <= 0:
         raise ValueError(f"index_bits must be positive, got {index_bits}")
-    import numpy as np  # lazy: only the batch kernels build these tables
+    import numpy as np  # lazy: only the batch kernels build these columns
 
     index_mask = np.uint64((1 << index_bits) - 1)
     shift = np.uint64(index_bits)
     signatures = np.arange(1 << signature_bits, dtype=np.uint64)
-    columns = []
+    columns_np = []
     for t in range(num_tables):
         value = signatures ^ np.uint64(_TABLE_TWEAKS[t])
         value = value + np.uint64(0x9E3779B97F4A7C15)
@@ -152,36 +155,12 @@ def full_space_table(
         while value.any():
             folded ^= value & index_mask
             value >>= shift
-        columns.append(folded.tolist())
-    table = FullSpaceIndexTable(enumerate(zip(*columns, strict=True)))
-    table.key = key
-    _FULL_TABLE_MEMO[key] = table
-    return table
-
-
-def skewed_index_columns(num_tables: int, index_bits: int, signature_bits: int):
-    """Full-space signature → per-table index *columns*, memoized.
-
-    Returns ``(columns, columns_np)``: one Python list and one contiguous
-    int64 array per table, each indexed directly by signature.
-    Bit-identical to :func:`skewed_indices` by construction; the batched
-    kernels index the lists on the scalar hot path and use the arrays for
-    vectorized signature lowering.
-    """
-    key = (num_tables, index_bits, signature_bits)
-    cached = _COLUMN_MEMO.get(key)
-    if cached is not None:
-        return cached
-    lookup = full_space_table(num_tables, index_bits, signature_bits)
-    total = 1 << signature_bits
-    rows = [lookup[signature] for signature in range(total)]
-    import numpy as np
-
-    matrix = np.asarray(rows, dtype=np.int64)
-    columns_np = tuple(
-        np.ascontiguousarray(matrix[:, t]) for t in range(num_tables)
+        columns_np.append(folded.astype(np.int64))
+    pool = list(range(1 << index_bits))
+    columns = tuple(
+        list(map(pool.__getitem__, column.tolist())) for column in columns_np
     )
-    columns = tuple(column.tolist() for column in columns_np)
-    cached = (columns, columns_np)
+    cached = SkewedIndexColumns((columns, tuple(columns_np)))
+    cached.key = key
     _COLUMN_MEMO[key] = cached
     return cached

@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro.btb.btb import BranchTargetBuffer
 from repro.cache.geometry import CacheGeometry
 from repro.cache.policy_api import AccessContext, PolicyError, ReplacementPolicy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.stats import CacheStats
+from repro.experiments.cellcache import SnapshotStore
+from repro.frontend.config import FrontEndConfig
+from repro.frontend.engine import build_policies
+from repro.policies.dueling import SetDuelingPolicy
+from repro.policies.ghrp_policy import GHRPPolicy
 from repro.policies.lru import LRUPolicy
 
 
@@ -176,9 +182,47 @@ class TestPolicyAPI:
         with pytest.raises(PolicyError):
             policy.bind(geometry)
 
-    def test_cache_attaches_itself(self):
-        cache = small_cache()
-        assert cache.policy.attached_cache is cache
+    def test_ghrp_btb_reads_the_stored_icache_signature(self, tmp_path):
+        """Section III-E coupling: a GHRP BTB predicts from the signature
+        the I-cache stored for the branch's block, on live structures and
+        on structures restored from a warm-up snapshot."""
+        icache_policy, btb_policy, _ = build_policies(
+            FrontEndConfig(icache_policy="ghrp", btb_policy="ghrp")
+        )
+        icache = small_cache(icache_policy, sets=64, assoc=4)
+        btb = BranchTargetBuffer(64, 4, btb_policy)
+        pcs = [0x4000 + 0x40 * i for i in range(8)]
+        for pc in pcs:
+            icache.access(pc, pc=pc)
+
+        def assert_coupled(icache, btb):
+            coupled = btb.policy.icache_policy
+            assert coupled is icache.policy
+            for pc in pcs:
+                set_index = icache.geometry.set_index(pc)
+                stored = coupled.stored_signature(set_index, icache.probe(pc))
+                assert stored is not None
+                assert coupled.stored_signature_for(pc) == stored
+                assert btb.policy._signature_for(pc) == stored
+            assert coupled.stored_signature_for(0x900000) is None
+
+        assert_coupled(icache, btb)
+        snapshots = SnapshotStore(tmp_path / "snapshots")
+        assert snapshots.save("ab" * 32, (icache, btb))
+        resumed_icache, resumed_btb = snapshots.load("ab" * 32)
+        assert_coupled(resumed_icache, resumed_btb)
+        # The restored policy reads the restored cache's rows, not a copy.
+        resumed_icache.access(0x900000, pc=0x900000)
+        coupled = resumed_btb.policy.icache_policy
+        assert coupled.stored_signature_for(0x900000) is not None
+
+    def test_set_dueling_children_read_the_cache_rows(self):
+        policy = SetDuelingPolicy(GHRPPolicy(), LRUPolicy(), dueling_sets=2)
+        cache = small_cache(policy)
+        cache.access(0x1000, pc=0x1000)
+        assert policy.policy_a._tag_rows is cache._tags
+        assert policy.policy_b._tag_rows is cache._tags
+        assert policy.policy_a.stored_signature_for(0x1000) is not None
 
     def test_default_hooks(self):
         class MinimalPolicy(ReplacementPolicy):

@@ -10,7 +10,7 @@ state, across every kernelized policy and several workload archetypes.
 Also pinned here: the build-time gate (every configuration the batch
 loop does not replay falls back to the reference engine with a recorded
 reason and identical results), metrics-only observability staying on
-the batch loop, and :func:`repro.util.hashing.full_space_table` (the
+the batch loop, and :func:`repro.util.hashing.skewed_index_columns` (the
 kernels' precomputed index lookup) agreeing with the scalar
 :func:`repro.util.hashing.skewed_indices` everywhere.
 """
@@ -32,7 +32,7 @@ from repro.kernel.engine import FastFrontEnd
 from repro.obs import NULL_OBS, EventTracer, Observability
 from repro.policies.ghrp_policy import GHRPBTBPolicy, GHRPPolicy
 from repro.policies.sdbp import SDBPConfig
-from repro.util.hashing import full_space_table, skewed_indices
+from repro.util.hashing import skewed_index_columns, skewed_indices
 from repro.workloads.spec import Category
 from repro.workloads.suite import make_workload
 
@@ -277,25 +277,50 @@ class TestFastPathFallback:
 
 
 class TestFullSpaceTable:
+    """The full-space signature → index columns the kernels read."""
+
     def test_matches_scalar_hash_everywhere(self):
-        table = full_space_table(num_tables=3, index_bits=8, signature_bits=10)
-        assert len(table) == 1 << 10
-        for signature in range(1 << 10):
-            assert table[signature] == skewed_indices(signature, 3, 8)
+        # A small shape plus both paper shapes: GHRP (3 tables of 2^14,
+        # 16-bit signatures) and modified SDBP (2^12 entries, 12 bits).
+        for index_bits, signature_bits in ((8, 10), (14, 16), (12, 12)):
+            columns, columns_np = skewed_index_columns(3, index_bits, signature_bits)
+            assert [len(column) for column in columns] == [1 << signature_bits] * 3
+            rows = list(zip(*columns, strict=True))
+            for signature in range(1 << signature_bits):
+                assert rows[signature] == skewed_indices(signature, 3, index_bits)
+            assert [c.tolist() for c in columns_np] == [list(c) for c in columns]
 
     def test_cache_miss_path_matches_precomputed(self):
-        """The reference bank's on-demand memo agrees with the kernels' table."""
+        """The reference bank's on-demand memo agrees with the kernels' columns."""
         from repro.core.tables import PredictionTableBank
 
-        precomputed = full_space_table(num_tables=3, index_bits=12, signature_bits=8)
+        columns, _ = skewed_index_columns(num_tables=3, index_bits=12, signature_bits=8)
         on_demand = PredictionTableBank(num_tables=3, index_bits=12, counter_bits=2)
         for signature in range(1 << 8):
-            assert on_demand.indices(signature) == precomputed[signature]
+            assert on_demand.indices(signature) == tuple(c[signature] for c in columns)
 
     def test_pickles_as_the_process_memo(self):
         import pickle
 
-        table = full_space_table(num_tables=3, index_bits=12, signature_bits=16)
-        body = pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)
+        memo = skewed_index_columns(num_tables=3, index_bits=12, signature_bits=16)
+        body = pickle.dumps(memo, protocol=pickle.HIGHEST_PROTOCOL)
         assert len(body) < 200
-        assert pickle.loads(body) is table
+        assert pickle.loads(body) is memo
+
+    def test_paper_shapes_retain_at_most_5_mb(self, monkeypatch):
+        """One compact memo per shape: list entries share one int pool."""
+        import tracemalloc
+
+        import repro.util.hashing as hashing
+
+        monkeypatch.setattr(hashing, "_COLUMN_MEMO", {})
+        tracemalloc.start()
+        try:
+            memos = [
+                hashing.skewed_index_columns(3, 14, 16),  # GHRP
+                hashing.skewed_index_columns(3, 12, 12),  # modified SDBP
+            ]
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 5 * 1024 * 1024, f"{len(memos)} memos retain {retained} B"

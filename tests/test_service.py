@@ -66,13 +66,30 @@ def clock():
     return ManualClock()
 
 
+# Managers and stores a test opened; each holds an append handle on its
+# journal, closed when the test ends.
+_OPENED: list = []
+
+
+@pytest.fixture(autouse=True)
+def close_opened_journals():
+    yield
+    while _OPENED:
+        _OPENED.pop().close()
+
+
+def opened(journaled):
+    _OPENED.append(journaled)
+    return journaled
+
+
 def manager_for(tmp_path, clock, *, config=None, faults=None):
-    return JobManager(
+    return opened(JobManager(
         tmp_path / "svc",
         config=config or ServiceConfig(workers=1, max_queue_depth=4),
         clock=clock.service_clock(),
         faults=faults,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +206,7 @@ class TestJobSpec:
 # ---------------------------------------------------------------------------
 class TestJobStore:
     def test_journal_lines_replay_through_celljournal(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = opened(JobStore(tmp_path))
         store.append("submitted", "j1", spec=JobSpec.from_payload(payload()).payload(),
                      submitted_at=1.0, max_retries=0)
         store.append("started", "j1", attempt=0, at=2.0)
@@ -197,7 +214,7 @@ class TestJobStore:
         assert [e["event"] for e in events] == ["submitted", "started"]
 
     def test_replay_folds_lifecycle(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = opened(JobStore(tmp_path))
         spec = JobSpec.from_payload(payload())
         store.append("submitted", "j1", spec=spec.payload(), submitted_at=1.0,
                      max_retries=1)
@@ -216,7 +233,7 @@ class TestJobStore:
         assert record.result_available
 
     def test_torn_tail_line_is_skipped_on_replay(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = opened(JobStore(tmp_path))
         spec = JobSpec.from_payload(payload())
         store.append("submitted", "j1", spec=spec.payload(), submitted_at=1.0,
                      max_retries=0)
@@ -229,7 +246,7 @@ class TestJobStore:
         assert replayed["j1"].state == QUEUED
 
     def test_read_progress_returns_only_complete_lines(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = opened(JobStore(tmp_path))
         path = store.events_path("j1")
         path.write_bytes(b'{"kind": "job.start"}\n{"kind": "job.ce')
         events, offset = store.read_progress("j1", 0)
@@ -241,7 +258,7 @@ class TestJobStore:
         assert [e["kind"] for e in more] == ["job.cell"]
 
     def test_read_progress_restarts_when_stream_shrank(self, tmp_path):
-        store = JobStore(tmp_path)
+        store = opened(JobStore(tmp_path))
         path = store.events_path("j1")
         path.write_bytes(b'{"kind": "a"}\n{"kind": "b"}\n')
         _, offset = store.read_progress("j1", 0)

@@ -457,6 +457,8 @@ class TestKillDashNine:
         baseline, _ = pristine.submit(body)
         pristine.run_once()
         assert baseline.grid_signature == record.grid_signature
+        reborn.close()
+        pristine.close()
 
 
 # ---------------------------------------------------------------------------
@@ -533,3 +535,5 @@ class TestGracefulDrain:
         baseline, _ = pristine.submit(body)
         pristine.run_once()
         assert baseline.grid_signature == revived.grid_signature
+        reborn.close()
+        pristine.close()
