@@ -10,6 +10,8 @@ import itertools
 from repro.branch.perceptron import HashedPerceptronPredictor
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.experiments.runner import run_cell
+from repro.frontend.config import FrontEndConfig
 from repro.policies.registry import make_policy
 from repro.traces.reconstruct import FetchBlockStream
 from repro.workloads.spec import Category
@@ -45,6 +47,28 @@ def test_perceptron_predict_update(benchmark):
         predictor.predict_and_update(pc, (pc >> 4) & 1 == 0)
 
     benchmark(step)
+
+
+def test_reference_cell_srrip(benchmark):
+    """One SRRIP cell end to end, records already walked.
+
+    SRRIP and Random have no batch kernel, so their cells run the whole
+    reference engine even when the fast engine is requested: perceptron,
+    cache and BTB accesses, fetch reconstruction.  That is 16 of a
+    paper-grid sweep's 40 cells.
+    """
+    workload = make_workload(
+        "ref-cell", Category.SHORT_SERVER, seed=2018, trace_scale=0.015,
+        jitter=False,
+    )
+    workload.instruction_count()  # walk once, outside the timed rounds
+    config = FrontEndConfig()
+
+    def cell():
+        return run_cell(workload, "srrip", config, engine="fast")
+
+    result = benchmark.pedantic(cell, rounds=5, iterations=1)
+    assert result.fast_path_fallback_reason is not None
 
 
 def test_workload_generation(benchmark):

@@ -7,13 +7,21 @@ cut into segments; each segment is hashed (together with the branch PC)
 into an index for one weight table.  The prediction is the sign of the sum
 of the selected weights, and training adjusts exactly those weights when
 the prediction was wrong or the sum's magnitude fell below a threshold.
+
+The front end calls :meth:`HashedPerceptronPredictor.predict_and_update`
+once per conditional branch, so that is the hot path: one pass computes
+every table index (the splitmix64 mixer inlined, each segment's masks
+precomputed) and sums the selected weights, then one pass trains.  The
+split :meth:`~HashedPerceptronPredictor.predict` /
+:meth:`~HashedPerceptronPredictor.update` calls share the same index
+computation and leave the same state.
 """
 
 from __future__ import annotations
 
 from repro.branch.base import BranchDirectionPredictor
 from repro.util.bits import mask
-from repro.util.hashing import mix64
+from repro.util.hashing import MIX_MULT_1, MIX_MULT_2, SPLITMIX_INC, U64
 
 __all__ = ["HashedPerceptronPredictor"]
 
@@ -64,6 +72,13 @@ class HashedPerceptronPredictor(BranchDirectionPredictor):
         self._weight_min = -(1 << (weight_bits - 1))
         # Geometric-ish segment end points over the outcome history.
         self._segments = self._geometric_segments(num_tables - 1, history_bits)
+        # mix64's per-segment arguments, precomputed: (tweak, outcome-segment
+        # mask, path-segment mask) for each history table.
+        self._segment_params = tuple(
+            (end, mask(end), mask(min(end, path_bits))) for end in self._segments
+        )
+        self._history_mask = mask(history_bits)
+        self._path_mask = mask(path_bits)
         mean_segment = history_bits / (num_tables - 1)
         self.theta = theta if theta is not None else int(1.93 * mean_segment + 14)
         self._weights = [[0] * table_entries for _ in range(num_tables)]
@@ -92,44 +107,88 @@ class HashedPerceptronPredictor(BranchDirectionPredictor):
         ends[-1] = total_bits
         return tuple(ends)
 
-    def _indices(self, pc: int) -> tuple[int, ...]:
-        pc_hash = (pc >> 2) & ((1 << 30) - 1)
-        indices = [pc_hash & self._entries_mask]  # bias table
-        for end in self._segments:
-            outcome_segment = self._outcome_history & mask(end)
-            path_segment = self._path_history & mask(min(end, self.path_bits))
-            hashed = mix64(outcome_segment ^ (path_segment << 1), tweak=end) ^ pc_hash
-            indices.append(hashed & self._entries_mask)
-        return tuple(indices)
+    def _lookup(self, pc: int) -> tuple[list[int], int]:
+        """Every table's index for ``pc`` and the sum of the selected weights.
+
+        Table ``t > 0`` is indexed by ``mix64(outcome_segment ^
+        (path_segment << 1), tweak=end) ^ pc_hash`` over its history
+        segment; the mixer is inlined here.
+        """
+        pc_hash = (pc >> 2) & 0x3FFFFFFF
+        entries_mask = self._entries_mask
+        outcome_history = self._outcome_history
+        path_history = self._path_history
+        weights = self._weights
+        index = pc_hash & entries_mask  # bias table
+        indices = [index]
+        total = weights[0][index]
+        for t, (tweak, outcome_mask, path_mask) in enumerate(self._segment_params, 1):
+            value = (
+                (outcome_history & outcome_mask)
+                ^ ((path_history & path_mask) << 1)
+                ^ tweak
+            ) & U64
+            value = (value + SPLITMIX_INC) & U64
+            value = ((value ^ (value >> 30)) * MIX_MULT_1) & U64
+            value = ((value ^ (value >> 27)) * MIX_MULT_2) & U64
+            index = ((value ^ (value >> 31)) ^ pc_hash) & entries_mask
+            indices.append(index)
+            total += weights[t][index]
+        return indices, total
+
+    def _train(
+        self, pc: int, taken: bool, indices: list[int] | tuple[int, ...], total: int
+    ) -> None:
+        """Apply the training rule for one resolved branch; advance histories."""
+        # Perceptron training rule: update on misprediction or low confidence.
+        theta = self.theta
+        if (total >= 0) != taken or -theta <= total <= theta:
+            delta = 1 if taken else -1
+            weight_min = self._weight_min
+            weight_max = self._weight_max
+            weights = self._weights
+            for t, index in enumerate(indices):
+                row = weights[t]
+                weight = row[index] + delta
+                if weight > weight_max:
+                    weight = weight_max
+                elif weight < weight_min:
+                    weight = weight_min
+                row[index] = weight
+        self._outcome_history = (
+            (self._outcome_history << 1) | (1 if taken else 0)
+        ) & self._history_mask
+        self._path_history = (
+            (self._path_history << 4) | ((pc >> 2) & 0xF)
+        ) & self._path_mask
 
     def predict(self, pc: int) -> bool:
-        indices = self._indices(pc)
-        total = sum(self._weights[t][indices[t]] for t in range(self.num_tables))
-        self._last_indices = indices
+        indices, total = self._lookup(pc)
+        self._last_indices = tuple(indices)
         self._last_sum = total
         return total >= 0
 
     def update(self, pc: int, taken: bool) -> None:
         indices = self._last_indices
         if indices is None:
-            indices = self._indices(pc)
-            self._last_sum = sum(
-                self._weights[t][indices[t]] for t in range(self.num_tables)
-            )
-        total = self._last_sum
+            indices, self._last_sum = self._lookup(pc)
         self._last_indices = None
-        predicted_taken = total >= 0
-        # Perceptron training rule: update on misprediction or low confidence.
-        if predicted_taken != taken or abs(total) <= self.theta:
-            delta = 1 if taken else -1
-            for t in range(self.num_tables):
-                weight = self._weights[t][indices[t]] + delta
-                self._weights[t][indices[t]] = min(
-                    max(weight, self._weight_min), self._weight_max
-                )
-        self._outcome_history = (
-            (self._outcome_history << 1) | int(taken)
-        ) & mask(self.history_bits)
-        self._path_history = (
-            (self._path_history << 4) | ((pc >> 2) & 0xF)
-        ) & mask(self.path_bits)
+        self._train(pc, taken, indices, self._last_sum)
+
+    def predict_and_update(self, pc: int, taken: bool) -> bool:
+        """Fused :meth:`predict`, accuracy bookkeeping and :meth:`update`.
+
+        One index computation per branch; the state left behind (weights,
+        both histories, ``_last_sum``, the cleared prediction cache, and
+        the stats) is exactly what the split calls leave.
+        """
+        indices, total = self._lookup(pc)
+        self._last_indices = None
+        self._last_sum = total
+        prediction = total >= 0
+        stats = self.stats
+        stats.predictions += 1
+        if prediction != taken:
+            stats.mispredictions += 1
+        self._train(pc, taken, indices, total)
+        return prediction

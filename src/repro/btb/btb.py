@@ -28,7 +28,7 @@ __all__ = ["BTBResult", "BranchTargetBuffer"]
 _ENTRY_GRANULE = 4  # one 4-byte instruction per BTB entry
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BTBResult:
     """Outcome of one BTB access."""
 

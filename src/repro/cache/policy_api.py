@@ -28,7 +28,7 @@ class PolicyError(RuntimeError):
     """Raised when a policy is used before being bound to a geometry."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AccessContext:
     """Everything a policy may want to know about the access in flight.
 
@@ -40,6 +40,11 @@ class AccessContext:
         The program counter driving the access.  For the I-cache this is the
         address of the first instruction fetched from the block; for the BTB
         it is the branch PC.  Predictive policies hash it into signatures.
+
+    Policies read a context and never mutate it: one object serves every
+    callback of an access.  It is not frozen only because the reference
+    engine builds one per access, and a frozen dataclass's ``__init__``
+    (one ``object.__setattr__`` per field) costs 2-3 times as much.
     """
 
     address: int

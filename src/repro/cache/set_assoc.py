@@ -23,7 +23,7 @@ __all__ = ["AccessResult", "SetAssociativeCache"]
 _INVALID_TAG = -1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AccessResult:
     """Outcome of one cache access.
 
@@ -93,17 +93,17 @@ class SetAssociativeCache:
         self.now += 1
 
         set_tags = self._tags[set_index]
-        for way, stored in enumerate(set_tags):
-            if stored == tag:
-                self.stats.record_hit()
-                self.policy.on_hit(set_index, way, ctx)
-                if self.efficiency is not None:
-                    self.efficiency.on_hit(set_index, way, self.now)
-                if self.obs.enabled:
-                    self.obs.inc(self.obs_scope + ".hits")
-                return AccessResult(
-                    hit=True, bypassed=False, set_index=set_index, way=way, victim_address=None
-                )
+        if tag in set_tags:
+            way = set_tags.index(tag)
+            self.stats.record_hit()
+            self.policy.on_hit(set_index, way, ctx)
+            if self.efficiency is not None:
+                self.efficiency.on_hit(set_index, way, self.now)
+            if self.obs.enabled:
+                self.obs.inc(self.obs_scope + ".hits")
+            return AccessResult(
+                hit=True, bypassed=False, set_index=set_index, way=way, victim_address=None
+            )
 
         # Miss path.
         if self.policy.should_bypass(set_index, ctx):

@@ -66,9 +66,10 @@ CELL_DIGEST_SCHEMA = 1
 #: and a fast front end carrying its fault arm; format 4: a front end
 #: without the three extension-hook attributes of earlier releases;
 #: format 5: policies holding their cache's tag rows instead of the
-#: cache, and one pickle-by-key signature-index memo); results and
-#: ``cell_digest`` are unaffected.
-SNAPSHOT_FORMAT = 5
+#: cache, and one pickle-by-key signature-index memo; format 6: a
+#: perceptron carrying its precomputed segment parameters and history
+#: masks); results and ``cell_digest`` are unaffected.
+SNAPSHOT_FORMAT = 6
 
 
 def _library_version() -> str:

@@ -43,6 +43,11 @@ __all__ = ["FrontEnd", "build_frontend", "build_policies"]
 ENGINES = ("reference", "fast")
 """Engine choices: the reference event-driven path and the batched kernel."""
 
+_CONDITIONAL = BranchType.CONDITIONAL
+_CALL = BranchType.CALL
+_INDIRECT_CALL = BranchType.INDIRECT_CALL
+_RETURN = BranchType.RETURN
+
 
 @dataclass(slots=True)
 class _RunState:
@@ -190,7 +195,6 @@ class FrontEnd:
             btb=self.btb,
             ghrp=self.ghrp,
             obs=self.obs,
-            sync=self._before_stats_collect,
         )
 
     # ------------------------------------------------------------------
@@ -231,7 +235,13 @@ class FrontEnd:
         """
         warmup_boundary = rs.warmup_boundary
         instruction_limit = rs.instruction_limit
-        icache, btb, direction, ras = self.icache, self.btb, self.direction, self.ras
+        icache, btb = self.icache, self.btb
+        # The per-record calls, bound once per window.
+        icache_access = icache.access
+        btb_access = btb.access
+        predict_and_update = self.direction.predict_and_update
+        ras_push = self.ras.push
+        ras_pop_and_check = self.ras.pop_and_check
         obs = self.obs
         telemetry = self.telemetry
         block_size = icache.geometry.block_size
@@ -246,22 +256,25 @@ class FrontEnd:
         for chunk in stream:
             start_pc = chunk.start_pc
             for block in chunk.block_addresses(block_size):
-                icache.access(block, pc=max(start_pc, block))
+                icache_access(block, pc=max(start_pc, block))
 
             record = chunk.branch
+            # Branch classes by identity: the BranchType properties
+            # (is_call, is_return, uses_btb) spelled out, without a
+            # property call per record.
             branch_type = record.branch_type
             mispredicted = False
 
-            if branch_type is BranchType.CONDITIONAL:
-                predicted = direction.predict_and_update(record.pc, record.taken)
+            if branch_type is _CONDITIONAL:
+                predicted = predict_and_update(record.pc, record.taken)
                 mispredicted = predicted != record.taken
-            elif branch_type.is_call:
-                ras.push(record.pc + 4)
-            elif branch_type.is_return:
-                mispredicted = not ras.pop_and_check(record.target)
+            elif branch_type is _RETURN:
+                mispredicted = not ras_pop_and_check(record.target)
+            elif branch_type is _CALL or branch_type is _INDIRECT_CALL:
+                ras_push(record.pc + 4)
 
-            if record.taken and branch_type.uses_btb:
-                btb_result = btb.access(record.pc, record.target)
+            if record.taken and branch_type is not _RETURN:
+                btb_result = btb_access(record.pc, record.target)
                 if btb_result.hit and not btb_result.target_correct:
                     mispredicted = True
 
@@ -442,6 +455,7 @@ def build_frontend(
         reason = fast_path_unsupported_reason(
             icache,
             btb,
+            direction,
             wrong_path_depth=config.wrong_path_depth,
             obs=obs,
         )

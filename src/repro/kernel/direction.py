@@ -1,15 +1,18 @@
 """Fast-path kernel for the hashed perceptron direction predictor.
 
-Fuses ``predict`` + stats + ``update`` into one call with the splitmix64
-mixer inlined and per-segment history masks precomputed.  Weight tables
-are aliased; only the history registers, the prediction-cache scalars, and
-the accuracy counters are kernel-local, flushed by :meth:`sync`.
+Weight tables are aliased; only the history registers, the
+prediction-cache scalars, and the accuracy counters are kernel-local,
+flushed by :meth:`HashedPerceptronKernel.sync`.
 
 Batch windows exploit the same dataflow fact as the GHRP chains: the
 outcome and path histories are pure functions of the conditional-branch
 stream, independent of the weight tables, so every table index for every
 branch in a window precomputes in numpy.  The chunk loop then only sums
-aliased weight rows and applies the saturating train rule.
+aliased weight rows and applies the saturating train rule.  The chains
+are uint64 arrays, so the kernel replays only predictors whose history
+registers fit in 64 bits; the build-time gate
+(:func:`~repro.kernel.engine.fast_path_unsupported_reason`) sends wider
+ones to the reference engine.
 """
 
 from __future__ import annotations
@@ -18,18 +21,13 @@ import numpy as _np
 
 from repro.branch.perceptron import HashedPerceptronPredictor
 from repro.kernel.ghrp import history_chain
-from repro.util.bits import mask
+from repro.util.hashing import MIX_MULT_1, MIX_MULT_2, SPLITMIX_INC
 
 __all__ = ["HashedPerceptronKernel"]
 
-_U64 = (1 << 64) - 1
-_SPLITMIX_INC = 0x9E3779B97F4A7C15
-_MIX_MULT_1 = 0xBF58476D1CE4E5B9
-_MIX_MULT_2 = 0x94D049BB133111EB
-
 
 class HashedPerceptronKernel:
-    """One-call predict-and-update over aliased weight tables."""
+    """Chunked predict-and-update over aliased weight tables."""
 
     __slots__ = (
         "predictor",
@@ -39,8 +37,6 @@ class HashedPerceptronKernel:
         "_theta",
         "_weight_min",
         "_weight_max",
-        "_history_mask",
-        "_path_mask",
         "_segment_params",
         "_outcome_history",
         "_path_history",
@@ -60,14 +56,8 @@ class HashedPerceptronKernel:
         self._theta = predictor.theta
         self._weight_min = predictor._weight_min
         self._weight_max = predictor._weight_max
-        self._history_mask = mask(predictor.history_bits)
-        self._path_mask = mask(predictor.path_bits)
-        path_bits = predictor.path_bits
         # (tweak, outcome-segment mask, path-segment mask) per history table.
-        self._segment_params = tuple(
-            (end, mask(end), mask(min(end, path_bits)))
-            for end in predictor._segments
-        )
+        self._segment_params = predictor._segment_params
         self._outcome_history = predictor._outcome_history
         self._path_history = predictor._path_history
         self._last_sum = predictor._last_sum
@@ -89,60 +79,6 @@ class HashedPerceptronKernel:
             "delta_predictions": self._d_predictions,
             "delta_mispredictions": self._d_mispredictions,
         }
-
-    def predict_and_update(self, pc: int, taken: bool) -> bool:
-        pc_hash = (pc >> 2) & 0x3FFFFFFF
-        entries_mask = self._entries_mask
-        outcome_history = self._outcome_history
-        path_history = self._path_history
-        weights = self._weights
-        indices = self._indices
-
-        index = pc_hash & entries_mask  # bias table
-        indices[0] = index
-        total = weights[0][index]
-        t = 1
-        for end, outcome_mask, path_mask in self._segment_params:
-            # mix64(outcome_segment ^ (path_segment << 1), tweak=end), inlined.
-            value = (
-                (outcome_history & outcome_mask)
-                ^ ((path_history & path_mask) << 1)
-                ^ end
-            ) & _U64
-            value = (value + _SPLITMIX_INC) & _U64
-            value = ((value ^ (value >> 30)) * _MIX_MULT_1) & _U64
-            value = ((value ^ (value >> 27)) * _MIX_MULT_2) & _U64
-            index = ((value ^ (value >> 31)) ^ pc_hash) & entries_mask
-            indices[t] = index
-            total += weights[t][index]
-            t += 1
-
-        prediction = total >= 0
-        self._last_sum = total
-        self._d_predictions += 1
-        if prediction != taken:
-            self._d_mispredictions += 1
-            train = True
-        else:
-            train = -self._theta <= total <= self._theta
-        if train:
-            delta = 1 if taken else -1
-            weight_min = self._weight_min
-            weight_max = self._weight_max
-            for t in range(self._num_tables):
-                row = weights[t]
-                index = indices[t]
-                weight = row[index] + delta
-                if weight > weight_max:
-                    weight = weight_max
-                elif weight < weight_min:
-                    weight = weight_min
-                row[index] = weight
-        self._outcome_history = (
-            (outcome_history << 1) | (1 if taken else 0)
-        ) & self._history_mask
-        self._path_history = ((path_history << 4) | ((pc >> 2) & 0xF)) & self._path_mask
-        return prediction
 
     def reload(self) -> None:
         predictor = self.predictor
@@ -208,9 +144,9 @@ class HashedPerceptronKernel:
                     ^ ((ph_pre & np.uint64(path_mask)) << np.uint64(1))
                     ^ np.uint64(end)
                 )
-                value += np.uint64(_SPLITMIX_INC)
-                value = (value ^ (value >> np.uint64(30))) * np.uint64(_MIX_MULT_1)
-                value = (value ^ (value >> np.uint64(27))) * np.uint64(_MIX_MULT_2)
+                value += np.uint64(SPLITMIX_INC)
+                value = (value ^ (value >> np.uint64(30))) * np.uint64(MIX_MULT_1)
+                value = (value ^ (value >> np.uint64(27))) * np.uint64(MIX_MULT_2)
                 value ^= value >> np.uint64(31)
                 columns.append(
                     ((value ^ pc_hash) & entries_mask).astype(np.int64).tolist()
@@ -220,16 +156,7 @@ class HashedPerceptronKernel:
         return tokens.view(key, build)
 
     def begin_window(self, tokens):
-        """Bind batch state for a window; returns the chunk span callable.
-
-        Returns ``None`` when this predictor configuration cannot be
-        chain-precomputed (history registers wider than uint64), in which
-        case the engine's direction-stream executor calls
-        :meth:`predict_and_update` per conditional branch.
-        """
-        predictor = self.predictor
-        if predictor.history_bits > 64 or predictor.path_bits > 64:
-            return None
+        """Bind batch state for a window; returns the chunk span callable."""
         oh_l, ph_l, columns = self._index_columns(tokens)
         cond_end = tokens.cond_end
         ctaken = tokens.ctaken

@@ -56,6 +56,7 @@ __all__ = ["FastFrontEnd", "fast_path_unsupported_reason"]
 def fast_path_unsupported_reason(
     icache,
     btb,
+    direction,
     *,
     wrong_path_depth: int = 0,
     obs=NULL_OBS,
@@ -65,10 +66,16 @@ def fast_path_unsupported_reason(
     The fast path requires a :func:`~repro.kernel.base.batch_kernel`
     registration for every policy's exact class — registering the kernel
     *is* the opt-in — and a policy shape that kernel's executors replay
-    (:meth:`~repro.kernel.base.CacheKernel.unsupported_reason`).
-    Efficiency tracking, wrong-path fetch, and per-access event tracing
-    are reference-only features.
+    (:meth:`~repro.kernel.base.CacheKernel.unsupported_reason`).  The
+    direction predictor must be the stock hashed perceptron (a subclass
+    may override what the kernel replays) with history registers that fit
+    the kernel's uint64 chains.  Efficiency tracking, wrong-path fetch,
+    and per-access event tracing are reference-only features.
     """
+    if type(direction) is not HashedPerceptronPredictor:
+        return f"direction predictor {type(direction).__name__} has no kernel"
+    if direction.history_bits > 64 or direction.path_bits > 64:
+        return "perceptron history registers wider than 64 bits"
     if wrong_path_depth > 0:
         return "wrong-path simulation requires the reference engine"
     if obs.tracer is not None:
@@ -105,18 +112,12 @@ class FastFrontEnd(FrontEnd):
         reason = fast_path_unsupported_reason(
             self.icache,
             self.btb,
+            self.direction,
             wrong_path_depth=self.wrong_path_depth,
             obs=self.obs,
         )
         if reason is not None:
             raise ValueError(f"fast engine unsupported: {reason}")
-        # build_frontend builds only the stock perceptron; a subclass may
-        # override what the kernel replays, so only the exact class runs.
-        if type(self.direction) is not HashedPerceptronPredictor:
-            raise ValueError(
-                "fast engine unsupported: direction predictor "
-                f"{type(self.direction).__name__} has no kernel"
-            )
         context = KernelContext()
         self._context = context
         icache_policy = self.icache.policy
@@ -259,7 +260,7 @@ class FastFrontEnd(FrontEnd):
         # for a fused coupled executor before the wrapper binds.
         ispan = self._icache_kernel.begin_window(plan)
         bspan = self._btb_kernel.begin_window(plan)
-        dspan = self._direction_window(tokens)
+        dspan = self._direction_kernel.begin_window(tokens)
         rspan = self._ras_window(tokens)
 
         icache, btb = self.icache, self.btb
@@ -328,6 +329,10 @@ class FastFrontEnd(FrontEnd):
                     self._observe_warmup(rs)
 
             if telemetry is not None and cur_b >= telemetry.next_boundary:
+                # Flush kernel deltas into the stats objects the recorder
+                # reads; sync is idempotent and already runs mid-stream at
+                # the warm-up boundary, so this cannot change the result.
+                self._sync_kernels()
                 telemetry.take_sample(cur_i, cur_b)
 
             if instruction_limit is not None and cur_i >= instruction_limit:
@@ -345,27 +350,6 @@ class FastFrontEnd(FrontEnd):
         if arm is not None:
             arm.end_window(last)
         self._end_batch_window()
-
-    def _direction_window(self, tokens: TraceTokens):
-        """Chunk executor for the conditional-branch stream."""
-        kernel = self._direction_kernel
-        span = kernel.begin_window(tokens)
-        if span is not None:
-            return span
-        predict_and_update = kernel.predict_and_update
-        cpc = tokens.cpc
-        ctaken = tokens.ctaken
-        cond_end = tokens.cond_end
-        cursor = 0
-
-        def span(lo: int, hi: int) -> None:
-            nonlocal cursor
-            end = cond_end[hi - 1] if hi > 0 else 0
-            for j in range(cursor, end):
-                predict_and_update(cpc[j], ctaken[j])
-            cursor = end
-
-        return span
 
     def _ras_window(self, tokens: TraceTokens):
         """Chunk executor for the return-address-stack stream."""

@@ -11,9 +11,11 @@ occupancy and churn accumulators for the heatmap views.
 The recorder is pull-based and read-only with respect to simulation
 state: it never mutates the caches or predictors, so a telemetry-on run
 produces byte-identical final statistics to a telemetry-off run (the
-differential suite asserts this).  On the fast engine the ``sync``
-callback flushes kernel deltas before each read; kernel synchronization
-is idempotent, so mid-run samples cannot perturb the result either.
+differential suite asserts this).  The fast engine flushes its kernel
+deltas into the statistics objects before each sample it takes; kernel
+synchronization is idempotent, so mid-run samples cannot perturb the
+result either.  The recorder holds the structures it reads, never the
+front end, so a front end and its recorder form no reference cycle.
 
 Branch records — not instructions — are the interval clock because both
 engines count them identically at every loop iteration, making sample
@@ -199,12 +201,12 @@ class IntervalRecorder:
 
     __slots__ = (
         "config", "next_boundary", "_icache", "_btb", "_ghrp", "_obs",
-        "_sync", "_samples", "_dropped", "_prev_instructions",
+        "_samples", "_dropped", "_prev_instructions",
         "_prev_branches", "_prev_predictor", "_prev_sentinel", "_finished",
     )
 
     def __init__(self, config: TelemetryConfig, *, icache, btb, ghrp=None,
-                 obs=None, sync=None):
+                 obs=None):
         self.config = config
         self.next_boundary = config.interval_branches
         heatmap = config.heatmap
@@ -214,7 +216,6 @@ class IntervalRecorder:
         self._btb = _StructureTracker("btb", btb.stats, btb._cache, heatmap)
         self._ghrp = ghrp
         self._obs = obs
-        self._sync = sync
         self._samples: list[dict] = []
         self._dropped = 0
         self._prev_instructions = 0
@@ -225,7 +226,11 @@ class IntervalRecorder:
 
     # -- engine-facing ---------------------------------------------------
     def take_sample(self, instructions_seen: int, branches_seen: int) -> None:
-        """Record one interval sample and advance the boundary."""
+        """Record one interval sample and advance the boundary.
+
+        The caller has already flushed any counters it buffers (the fast
+        engine's kernel deltas) into the statistics objects read here.
+        """
         self._record(instructions_seen, branches_seen)
         interval = self.config.interval_branches
         # Skip past any boundaries a burst jumped over.
@@ -250,7 +255,6 @@ class IntervalRecorder:
         self._icache.rebind(frontend.icache.stats, frontend.icache)
         self._btb.rebind(frontend.btb.stats, frontend.btb._cache)
         self._ghrp = frontend.ghrp
-        self._sync = frontend._before_stats_collect
         self._prev_predictor = self._predictor_counters()
 
     def export(self) -> TelemetryRun:
@@ -282,12 +286,6 @@ class IntervalRecorder:
         return tuple(counter(name) for name in _SENTINEL_COUNTERS)
 
     def _record(self, instructions_seen: int, branches_seen: int) -> None:
-        if self._sync is not None:
-            # Fast engine: flush kernel deltas into the stats objects
-            # before reading them.  sync() is idempotent and already runs
-            # mid-stream at the warm-up boundary, so this cannot change
-            # the final statistics.
-            self._sync()
         d_instructions = instructions_seen - self._prev_instructions
         d_branches = branches_seen - self._prev_branches
         self._prev_instructions = instructions_seen

@@ -34,7 +34,7 @@ the branch rather than fabricate thousands of fetches.
 """
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FetchChunk:
     """A maximal sequential run of instructions ending in a branch.
 

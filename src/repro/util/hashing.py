@@ -22,13 +22,20 @@ __all__ = [
     "skewed_indices",
     "skewed_index_columns",
     "SkewedIndexColumns",
+    "U64",
+    "SPLITMIX_INC",
+    "MIX_MULT_1",
+    "MIX_MULT_2",
 ]
 
-_U64 = (1 << 64) - 1
+U64 = (1 << 64) - 1
 
-# Large odd constants from the splitmix64 reference implementation.
-_MIX_MULT_1 = 0xBF58476D1CE4E5B9
-_MIX_MULT_2 = 0x94D049BB133111EB
+# The splitmix64 reference implementation's increment (the golden-ratio
+# gamma) and its two large odd finalizer multipliers.  Hot paths that
+# inline the mixer import these; they are the only copy.
+SPLITMIX_INC = 0x9E3779B97F4A7C15
+MIX_MULT_1 = 0xBF58476D1CE4E5B9
+MIX_MULT_2 = 0x94D049BB133111EB
 
 # Per-table tweak constants (arbitrary distinct odd values).
 _TABLE_TWEAKS = (
@@ -47,15 +54,15 @@ def splitmix64(value: int) -> int:
     Deterministic, stateless, and uniform enough that distinct tweak
     constants yield effectively independent hash functions.
     """
-    value = (value + 0x9E3779B97F4A7C15) & _U64
-    value = ((value ^ (value >> 30)) * _MIX_MULT_1) & _U64
-    value = ((value ^ (value >> 27)) * _MIX_MULT_2) & _U64
+    value = (value + SPLITMIX_INC) & U64
+    value = ((value ^ (value >> 30)) * MIX_MULT_1) & U64
+    value = ((value ^ (value >> 27)) * MIX_MULT_2) & U64
     return value ^ (value >> 31)
 
 
 def mix64(value: int, tweak: int = 0) -> int:
     """Mix ``value`` with an optional ``tweak`` selecting the hash function."""
-    return splitmix64((value ^ tweak) & _U64)
+    return splitmix64((value ^ tweak) & U64)
 
 
 def skewed_indices(signature: int, num_tables: int, index_bits: int) -> tuple[int, ...]:
@@ -147,9 +154,9 @@ def skewed_index_columns(
     columns_np = []
     for t in range(num_tables):
         value = signatures ^ np.uint64(_TABLE_TWEAKS[t])
-        value = value + np.uint64(0x9E3779B97F4A7C15)
-        value = (value ^ (value >> np.uint64(30))) * np.uint64(_MIX_MULT_1)
-        value = (value ^ (value >> np.uint64(27))) * np.uint64(_MIX_MULT_2)
+        value = value + np.uint64(SPLITMIX_INC)
+        value = (value ^ (value >> np.uint64(30))) * np.uint64(MIX_MULT_1)
+        value = (value ^ (value >> np.uint64(27))) * np.uint64(MIX_MULT_2)
         value = value ^ (value >> np.uint64(31))
         folded = np.zeros_like(value)
         while value.any():

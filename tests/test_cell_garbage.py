@@ -5,8 +5,9 @@ the SDBP sampler) must be freed by reference counting the moment the
 cell returns.  A reference cycle among them keeps thousands of objects
 alive until a full collection, whose cost grows with everything else a
 sweep holds.  These tests run each paper policy on both engines, plain
-and through the warm-up snapshot path, and assert that a collection
-afterwards finds no unreachable object at all.
+and through the warm-up snapshot path, and with interval telemetry on,
+and assert that a collection afterwards finds no unreachable object at
+all.
 """
 
 import gc
@@ -18,7 +19,9 @@ from repro.experiments.cellcache import SnapshotStore
 from repro.experiments.runner import run_cell
 from repro.experiments.snapshots import run_cell_snapshotted
 from repro.frontend.config import FrontEndConfig
+from repro.obs import Observability
 from repro.policies.registry import PAPER_POLICIES
+from repro.telemetry.interval import TelemetryConfig
 from repro.workloads.spec import Category
 from repro.workloads.suite import make_workload
 
@@ -55,6 +58,21 @@ class TestCellStateIsFreedByRefcounting:
             run_cell(workload, policy, FrontEndConfig(), engine=engine)
 
         assert unreachable_after(run) == Counter()
+
+    def test_run_cell_with_telemetry(self, workload, policy, engine):
+        # The recorder holds the structures it samples, never the front
+        # end, so a telemetry-on run builds no front-end cycle either.
+        obs = Observability()
+
+        def run():
+            run_cell(
+                workload, policy, FrontEndConfig(), obs=obs, engine=engine,
+                telemetry=TelemetryConfig(interval_branches=512),
+            )
+
+        assert unreachable_after(run) == Counter()
+        (series,) = obs.telemetry.values()
+        assert len(series["samples"]) >= 2
 
     def test_run_cell_snapshotted(self, tmp_path, workload, policy, engine):
         snapshots = SnapshotStore(tmp_path / "snapshots")

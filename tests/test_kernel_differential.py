@@ -22,6 +22,7 @@ import pytest
 
 import repro.frontend.engine as frontend_engine
 from repro.branch.bimodal import BimodalPredictor
+from repro.branch.perceptron import HashedPerceptronPredictor
 from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.config import GHRPConfig
@@ -225,6 +226,40 @@ class TestFastPathGate:
             FastFrontEnd(
                 icache=parts.icache, btb=parts.btb,
                 direction=BimodalPredictor(), ras=parts.ras, ghrp=parts.ghrp,
+            )
+
+    @pytest.mark.parametrize("shape", [{"history_bits": 96}, {"path_bits": 72}])
+    def test_wide_perceptron_history_falls_back(self, shape, monkeypatch):
+        # The kernel's history chains are uint64: a wider register is a
+        # recorded fallback reason, not a per-branch loop.
+        monkeypatch.setattr(
+            frontend_engine, "HashedPerceptronPredictor",
+            lambda: HashedPerceptronPredictor(**shape),
+        )
+        workload = make_workload(
+            "gate", Category.SHORT_SERVER, seed=2018, trace_scale=0.02
+        )
+        records = list(workload.records())
+        options = RunOptions(warmup_instructions=2000)
+        runs = {}
+        for engine in ("reference", "fast"):
+            frontend = build_frontend(FrontEndConfig(), engine=engine)
+            assert type(frontend) is FrontEnd
+            runs[engine] = (frontend.run(records, options), deep_state(frontend))
+        (ref_result, ref_state), (fast_result, fast_state) = (
+            runs["reference"], runs["fast"]
+        )
+        reason = fast_result.fast_path_fallback_reason
+        assert reason == "perceptron history registers wider than 64 bits"
+        assert asdict(fast_result) == asdict(
+            replace(ref_result, fast_path_fallback_reason=reason)
+        )
+        assert fast_state == ref_state
+        parts = build_frontend(FrontEndConfig(), engine="reference")
+        with pytest.raises(ValueError, match="wider than 64 bits"):
+            FastFrontEnd(
+                icache=parts.icache, btb=parts.btb, direction=parts.direction,
+                ras=parts.ras, ghrp=parts.ghrp,
             )
 
 
