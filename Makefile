@@ -31,9 +31,15 @@ lint:
 		echo "ruff not installed; compileall only"; \
 	fi
 
-# Lines of src/**/*.py: ROADMAP tracks this size of the package.
+# Lines of src/**/*.py: ROADMAP tracks this size of the package (first
+# line), then the packages its items set targets on.
+LOC_PACKAGES = kernel frontend traces analysis
+
 loc:
 	@echo "src/**/*.py: $$(find src -name '*.py' -exec cat {} + | wc -l) lines"
+	@for pkg in $(LOC_PACKAGES); do \
+		echo "src/repro/$$pkg/: $$(find src/repro/$$pkg -name '*.py' -exec cat {} + | wc -l) lines"; \
+	done
 
 # Simulator-invariant static analysis, both tiers: the syntactic rules
 # (determinism, bit-width/storage budget, policy contracts) and the

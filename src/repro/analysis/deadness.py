@@ -16,7 +16,6 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.policies.registry import make_policy
 from repro.traces.record import BranchRecord
-from repro.traces.reconstruct import FetchBlockStream
 
 __all__ = ["DeadnessProfile", "deadness_profile"]
 
@@ -61,6 +60,8 @@ def deadness_profile(
     block_size: int = 64,
 ) -> DeadnessProfile:
     """Replay a trace and collect generation statistics."""
+    from repro.kernel.tokenizer import tokenize_trace
+
     geometry = geometry or CacheGeometry.from_capacity(64 * 1024, 8, block_size)
     cache = SetAssociativeCache(geometry, make_policy(policy_name), track_efficiency=True)
 
@@ -70,23 +71,22 @@ def deadness_profile(
     generations = 0
     single_use = 0
 
-    for chunk in FetchBlockStream(records):
-        start_pc = chunk.start_pc
-        for block in chunk.block_addresses(block_size):
-            result = cache.access(block, pc=max(start_pc, block))
-            if result.bypassed:
-                continue
-            set_index, way = result.set_index, result.way
-            if result.hit:
-                counts[set_index][way] += 1
-            else:
-                if result.victim_address is not None:
-                    ended = counts[set_index][way]
-                    histogram[ended] += 1
-                    generations += 1
-                    if ended == 1:
-                        single_use += 1
-                counts[set_index][way] = 1
+    blocks, pcs, _ends = tokenize_trace(records).access_view(block_size)
+    for block, pc in zip(blocks, pcs):
+        result = cache.access(block, pc=pc)
+        if result.bypassed:
+            continue
+        set_index, way = result.set_index, result.way
+        if result.hit:
+            counts[set_index][way] += 1
+        else:
+            if result.victim_address is not None:
+                ended = counts[set_index][way]
+                histogram[ended] += 1
+                generations += 1
+                if ended == 1:
+                    single_use += 1
+            counts[set_index][way] = 1
 
     # Close generations still resident.
     for per_set in counts:

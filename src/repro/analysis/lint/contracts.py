@@ -29,8 +29,7 @@ Two invariants keep that true:
   ``policy_class`` back-reference must match the registry key, the policy
   must still pass the reference-path ABC contract (the fast path falls
   back to — and is differentially tested against — the reference engine,
-  so opting in never excuses breaking it), ``tokenize_requirements()``
-  must name only streams the tokenizer produces, and the kernel must
+  so opting in never excuses breaking it), and the kernel must
   implement the ``state_digest()`` sentinel hook: runtime verification,
   crash capture, and repro bundles all read kernel state through it, so
   a kernel without it turns the first divergence into an opaque
@@ -159,14 +158,12 @@ class FastPathRule(ProjectRule):
     description = (
         "every @batch_kernel registry entry must be coherent: policy_class "
         "matches the key, the policy passes the reference-path ABC "
-        "contract, tokenize_requirements() names real token streams, and "
-        "the kernel implements state_digest()"
+        "contract, and the kernel implements state_digest()"
     )
 
     def check_project(self, ctx: ProjectContext) -> Iterator[Finding]:
         from repro.cache.policy_api import ReplacementPolicy
         from repro.kernel.base import BatchKernel, CacheKernel, registered_batch_kernels
-        from repro.kernel.tokenizer import TOKEN_STREAMS
 
         abc_rule = PolicyAbcRule()
         for policy_cls, kernel_cls in registered_batch_kernels().items():
@@ -205,30 +202,6 @@ class FastPathRule(ProjectRule):
                 name, policy_cls, ReplacementPolicy
             ):
                 yield replace(finding, rule=self.id)
-            try:
-                streams = kernel_cls.tokenize_requirements()
-            except Exception as error:  # noqa: BLE001 - report, don't crash
-                yield replace(
-                    PolicyAbcRule._finding_for(
-                        kernel_cls,
-                        f"kernel {kernel_cls.__name__}.tokenize_requirements() "
-                        f"raised {error!r}; the engine calls it before "
-                        "tokenizing every window",
-                    ),
-                    rule=self.id,
-                )
-            else:
-                unknown = sorted(set(streams) - TOKEN_STREAMS)
-                if unknown:
-                    yield replace(
-                        PolicyAbcRule._finding_for(
-                            kernel_cls,
-                            f"kernel {kernel_cls.__name__} declares token "
-                            f"streams {unknown} that the tokenizer does not "
-                            f"produce (known: {sorted(TOKEN_STREAMS)})",
-                        ),
-                        rule=self.id,
-                    )
             if kernel_cls.state_digest in (
                 CacheKernel.state_digest,
                 BatchKernel.state_digest,

@@ -79,7 +79,6 @@ _DELTA_PREFIXES = ("_d_", "d_", "delta_", "_delta_")
 #: cleared at barriers; never simulation state, so never digest material.
 WINDOW_BINDING_FIELDS = frozenset(
     {
-        "_window_span",
         "_window_flush",
         "_fused_window",
         "sig_columns",

@@ -17,7 +17,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.traces.record import BranchRecord
-from repro.traces.reconstruct import FetchBlockStream
 
 __all__ = ["ReuseProfile", "reuse_distance_profile"]
 
@@ -85,15 +84,11 @@ def reuse_distance_profile(
     records: Iterable[BranchRecord], block_size: int = 64, max_accesses: int | None = None
 ) -> ReuseProfile:
     """Compute the reuse-distance histogram of a trace's block stream."""
-    # First materialize the access sequence (bounded by max_accesses).
-    sequence: list[int] = []
-    for chunk in FetchBlockStream(records):
-        for block in chunk.block_addresses(block_size):
-            sequence.append(block)
-            if max_accesses is not None and len(sequence) >= max_accesses:
-                break
-        if max_accesses is not None and len(sequence) >= max_accesses:
-            break
+    from repro.kernel.tokenizer import tokenize_trace
+
+    sequence = tokenize_trace(records).access_view(block_size)[0]
+    if max_accesses is not None:
+        sequence = sequence[:max_accesses]
 
     tree = _Fenwick(len(sequence))
     last_position: dict[int, int] = {}

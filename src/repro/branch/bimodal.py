@@ -1,4 +1,4 @@
-"""Bimodal (per-PC two-bit counter) direction prediction, plus strawmen.
+"""Bimodal (per-PC two-bit counter) direction prediction.
 
 The classic Smith predictor: a table of two-bit saturating counters indexed
 by the branch PC.  It captures per-branch bias — which, per Section III-E
@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.branch.base import BranchDirectionPredictor
 from repro.util.bits import log2_exact, mask
 
-__all__ = ["BimodalPredictor", "AlwaysTakenPredictor"]
+__all__ = ["BimodalPredictor"]
 
 
 class BimodalPredictor(BranchDirectionPredictor):
@@ -42,15 +42,3 @@ class BimodalPredictor(BranchDirectionPredictor):
         else:
             if value > 0:
                 self._counters[index] = value - 1
-
-
-class AlwaysTakenPredictor(BranchDirectionPredictor):
-    """Static predict-taken strawman (useful as an accuracy floor)."""
-
-    name = "always-taken"
-
-    def predict(self, pc: int) -> bool:
-        return True
-
-    def update(self, pc: int, taken: bool) -> None:
-        pass  # Nothing to learn.

@@ -68,8 +68,10 @@ CELL_DIGEST_SCHEMA = 1
 #: format 5: policies holding their cache's tag rows instead of the
 #: cache, and one pickle-by-key signature-index memo; format 6: a
 #: perceptron carrying its precomputed segment parameters and history
-#: masks); results and ``cell_digest`` are unaffected.
-SNAPSHOT_FORMAT = 6
+#: masks; format 7: kernels without window-span slots and an SDBP kernel
+#: without the per-access set/way outcome); results and ``cell_digest``
+#: are unaffected.
+SNAPSHOT_FORMAT = 7
 
 
 def _library_version() -> str:

@@ -4,11 +4,9 @@ A *kernel* replays one replacement policy's event protocol (hit / bypass /
 victim / evict / fill) against the reference cache's own state arrays.
 Kernels implement the declarative :class:`BatchKernel` protocol:
 
-- :meth:`~BatchKernel.tokenize_requirements` names the token streams the
-  kernel consumes (see :mod:`repro.kernel.tokenizer`);
 - :meth:`~BatchKernel.begin_window` binds the kernel to one tokenized
-  window and returns the chunk executor :meth:`~BatchKernel.run_chunk`
-  drives;
+  window and returns its chunk executor, which the fast engine's batch
+  loop calls once per chunk;
 - :meth:`~BatchKernel.sync` flushes delta counters and window-local
   scalar state back into the reference objects (idempotent, called at
   every chunk barrier);
@@ -21,10 +19,12 @@ is by **exact** policy class: a subclass with different semantics (e.g.
 MRU subclassing LRU) must register its own kernel or fall back to the
 reference engine.
 
-Kernels run only through their chunk executors, driven by the fast
-engine's batch loop.  The one per-access path is
-:meth:`repro.kernel.sdbp.SDBPKernel.access`, which :class:`BTBKernel`
-loops over the BTB stream as SDBP's BTB executor.
+Kernels run only through window executors: a :class:`CacheKernel`
+provides :meth:`~CacheKernel._make_window` for the I-cache stream and
+:meth:`~CacheKernel.begin_btb_window` for the BTB stream.  A kernel that
+lacks the executor for a structure is refused at build time
+(:meth:`~CacheKernel.unsupported_reason`), so that front end runs on the
+reference engine.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.tokenizer import TraceTokens
 
 __all__ = [
-    "HIT",
-    "FILL",
-    "BYPASS",
     "BatchKernel",
     "WindowPlan",
     "CacheKernel",
@@ -54,11 +51,6 @@ __all__ = [
     "batch_kernel_for",
     "registered_batch_kernels",
 ]
-
-# access() return codes (int compares are cheaper than enum members).
-HIT = 1
-FILL = 0
-BYPASS = -1
 
 _BATCH_KERNELS: dict[type, type["BatchKernel"]] = {}
 
@@ -100,24 +92,15 @@ def registered_batch_kernels() -> dict[type, type["BatchKernel"]]:
 class WindowPlan:
     """Everything a kernel needs to bind to one tokenized window.
 
-    ``stream`` names the token subsequence this kernel executes over
-    (``"icache"`` for the fetch-block stream, ``"btb"`` for taken
-    non-return branches).  ``icache_kernel``/``btb_kernel`` carry the
-    sibling kernels of the same front end so a coupled pair (GHRP
-    Section III-E) can build one fused executor over both structures.
+    ``icache_kernel``/``btb_kernel`` carry the sibling kernels of the same
+    front end so a coupled pair (GHRP Section III-E) can build one fused
+    executor over both structures.
     """
 
-    __slots__ = ("tokens", "stream", "icache_kernel", "btb_kernel")
+    __slots__ = ("tokens", "icache_kernel", "btb_kernel")
 
-    def __init__(
-        self,
-        tokens: "TraceTokens",
-        stream: str,
-        icache_kernel=None,
-        btb_kernel=None,
-    ):
+    def __init__(self, tokens: "TraceTokens", icache_kernel=None, btb_kernel=None):
         self.tokens = tokens
-        self.stream = stream
         self.icache_kernel = icache_kernel
         self.btb_kernel = btb_kernel
 
@@ -128,33 +111,23 @@ class BatchKernel(abc.ABC):
     The engine drives a window as::
 
         span = kernel.begin_window(plan)   # bind token views, build executor
-        span(lo, hi)                       # per chunk (== kernel.run_chunk)
+        span(lo, hi)                       # per chunk
         kernel.sync()                      # at each barrier
 
     ``begin_window`` returns the chunk executor directly so the engine's
-    chunk loop can call the bound closure without method dispatch;
-    :meth:`run_chunk` is the equivalent protocol-level entry point.
+    chunk loop calls the bound closure without method dispatch.
     """
 
     #: Matching reference policy class, set by ``batch_kernel``.
     policy_class: ClassVar[type | None] = None
 
-    @classmethod
-    def tokenize_requirements(cls) -> frozenset[str]:
-        """Token streams this kernel consumes (names from the tokenizer:
-        ``fetch-stream``, ``btb-stream``, ``cond-stream``)."""
-        return frozenset({"fetch-stream"})
-
     @abc.abstractmethod
     def begin_window(self, plan: WindowPlan):
-        """Bind to one tokenized window; return the chunk executor."""
+        """Bind to one tokenized window; return the chunk executor.
 
-    @abc.abstractmethod
-    def run_chunk(self, lo: int, hi: int) -> None:
-        """Execute this kernel's work for records ``[lo, hi)``.
-
-        Chunks must partition the window in order: each call continues
-        where the previous one stopped (kernels track their own stream
+        The executor ``span(lo, hi)`` executes records ``[lo, hi)``.
+        Chunks partition the window in order: each call continues where
+        the previous one stopped (executors track their own stream
         cursors).
         """
 
@@ -217,11 +190,10 @@ class CacheKernel(BatchKernel):
     mid-run (warm-up boundary) and again at the end.
 
     Subclasses provide their I-cache-stream executor by overriding
-    :meth:`_make_window` and, for the BTB stream, either
-    :meth:`begin_btb_window` or a per-access ``access(block, pc)`` the
-    :class:`BTBKernel` wrapper loops.  :meth:`unsupported_reason` names
-    the policy shapes an executor does not replay, so the build-time gate
-    sends them to the reference engine.
+    :meth:`_make_window` and their BTB-stream executor by overriding
+    :meth:`begin_btb_window`.  :meth:`unsupported_reason` names the
+    structures and policy shapes the executors do not replay, so the
+    build-time gate sends them to the reference engine.
     """
 
     def __init__(self, cache: "SetAssociativeCache"):
@@ -237,9 +209,8 @@ class CacheKernel(BatchKernel):
         self._d_bypasses = 0
         self._d_evictions = 0
         self._d_dead_evictions = 0
-        # Batch-window bindings (begin_window) and the derived
+        # The bound window's flush (begin_window) and the derived
         # block-address → way map the executors maintain.
-        self._window_span = None
         self._window_flush = None
         self._blockmap: dict[int, int] | None = None
 
@@ -256,13 +227,20 @@ class CacheKernel(BatchKernel):
         ``structure`` (``"icache"`` or ``"btb"``); None when they can.
 
         Consulted once per front end by
-        :func:`repro.kernel.engine.fast_path_unsupported_reason`.
+        :func:`repro.kernel.engine.fast_path_unsupported_reason`.  The
+        default refuses a structure whose executor the kernel class does
+        not provide; subclasses add the policy shapes they do not unroll.
         """
+        if structure == "icache":
+            provided = cls._make_window is not CacheKernel._make_window
+        else:
+            provided = cls.begin_btb_window is not CacheKernel.begin_btb_window
+        if not provided:
+            return f"{cls.__name__} has no {structure} executor"
         return None
 
     def reload(self) -> None:
         """Re-capture scalar state from the reference objects (run start)."""
-        self._window_span = None
         self._window_flush = None
         self._blockmap = None
 
@@ -272,17 +250,8 @@ class CacheKernel(BatchKernel):
     def begin_window(self, plan: WindowPlan):
         """Bind token views for one window; returns the chunk executor."""
         span, flush = self._make_window(plan)
-        self._window_span = span
         self._window_flush = flush
         return span
-
-    def run_chunk(self, lo: int, hi: int) -> None:
-        span = self._window_span
-        if span is None:
-            raise RuntimeError(
-                "run_chunk() outside an active window; call begin_window() first"
-            )
-        span(lo, hi)
 
     def _make_window(self, plan: WindowPlan):
         """The I-cache-stream executor: return ``(span, flush)``.
@@ -296,10 +265,12 @@ class CacheKernel(BatchKernel):
         )
 
     def begin_btb_window(self, plan: WindowPlan, wrapper: "BTBKernel"):
-        """Fused BTB-stream executor, or None for the wrapper's per-access
-        loop over ``access``.  Kernels override this to handle the target
-        array inline (see :class:`BTBKernel.begin_window`)."""
-        return None
+        """The BTB-stream executor: return ``(span, flush)`` as
+        :meth:`_make_window` does, handling ``wrapper``'s target array
+        inline with the replacement decision."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no BTB executor"
+        )
 
     def _build_blockmap(self) -> dict[int, int]:
         """block address → way for every valid line (the executors probe
@@ -394,20 +365,17 @@ class BTBKernel(BatchKernel):
     policy) and adds the per-way target array plus target-misprediction
     accounting.
 
-    The wrapper asks the inner kernel for a *fused* BTB-stream executor
-    (:meth:`CacheKernel.begin_btb_window`) so the target handling runs
-    inline with the replacement decision; an inner kernel without one
-    (SDBP) runs through the wrapper's loop over :meth:`access`.
+    The inner kernel's BTB-stream executor
+    (:meth:`CacheKernel.begin_btb_window`) runs the target handling
+    inline with the replacement decision.
     """
 
     __slots__ = (
         "btb",
         "inner",
         "_targets",
-        "_block_mask",
         "_d_target_mispredictions",
         "obs",
-        "_window_span",
         "_window_flush",
     )
 
@@ -415,69 +383,21 @@ class BTBKernel(BatchKernel):
         self.btb = btb
         self.inner = inner
         self._targets = btb._targets  # aliased per-set rows
-        self._block_mask = ~(btb.geometry.block_size - 1)
         self._d_target_mispredictions = 0
         self.obs = btb.obs
-        self._window_span = None
         self._window_flush = None
-
-    @classmethod
-    def tokenize_requirements(cls) -> frozenset[str]:
-        return frozenset({"btb-stream"})
-
-    def access(self, pc: int, target: int) -> None:
-        """One BTB lookup through the inner kernel's ``access``; the
-        inner kernel leaves the touched set/way in ``set_index``/``way``."""
-        inner = self.inner
-        status = inner.access(pc & self._block_mask, pc)
-        if status == HIT:
-            row = self._targets[inner.set_index]
-            way = inner.way
-            if row[way] != target:
-                self._d_target_mispredictions += 1
-                row[way] = target
-        elif status == FILL:
-            self._targets[inner.set_index][inner.way] = target
 
     def reload(self) -> None:
         self.inner.reload()
-        self._window_span = None
         self._window_flush = None
 
     # ------------------------------------------------------------------
     # BatchKernel protocol
     # ------------------------------------------------------------------
     def begin_window(self, plan: WindowPlan):
-        made = self.inner.begin_btb_window(plan, self)
-        if made is not None:
-            span, flush = made
-        else:
-            tokens = plan.tokens
-            bpc = tokens.bpc
-            btarget = tokens.btarget
-            btb_end = tokens.btb_end
-            access = self.access
-            cursor = 0
-
-            def span(lo: int, hi: int) -> None:
-                nonlocal cursor
-                end = btb_end[hi - 1] if hi > 0 else 0
-                for j in range(cursor, end):
-                    access(bpc[j], btarget[j])
-                cursor = end
-
-            flush = None
-        self._window_span = span
+        span, flush = self.inner.begin_btb_window(plan, self)
         self._window_flush = flush
         return span
-
-    def run_chunk(self, lo: int, hi: int) -> None:
-        span = self._window_span
-        if span is None:
-            raise RuntimeError(
-                "run_chunk() outside an active window; call begin_window() first"
-            )
-        span(lo, hi)
 
     def state_digest(self) -> dict:
         return {

@@ -44,7 +44,6 @@ class HashedPerceptronKernel:
         "_indices",
         "_d_predictions",
         "_d_mispredictions",
-        "_window_span",
         "_window_flush",
     )
 
@@ -64,7 +63,6 @@ class HashedPerceptronKernel:
         self._indices = [0] * predictor.num_tables
         self._d_predictions = 0
         self._d_mispredictions = 0
-        self._window_span = None
         self._window_flush = None
 
     def state_digest(self) -> dict:
@@ -85,7 +83,6 @@ class HashedPerceptronKernel:
         self._outcome_history = predictor._outcome_history
         self._path_history = predictor._path_history
         self._last_sum = predictor._last_sum
-        self._window_span = None
         self._window_flush = None
 
     def sync(self) -> None:
@@ -287,6 +284,5 @@ class HashedPerceptronKernel:
                 for t, col in enumerate(columns):
                     indices[t] = col[j]
 
-        self._window_span = span
         self._window_flush = flush
         return span

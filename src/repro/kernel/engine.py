@@ -251,10 +251,7 @@ class FastFrontEnd(FrontEnd):
         """
         n = tokens.n
         plan = WindowPlan(
-            tokens,
-            "fetch-stream",
-            icache_kernel=self._icache_kernel,
-            btb_kernel=self._btb_kernel,
+            tokens, icache_kernel=self._icache_kernel, btb_kernel=self._btb_kernel
         )
         # Bind order matters: the I-cache kernel may claim the BTB stream
         # for a fused coupled executor before the wrapper binds.
@@ -386,7 +383,6 @@ class FastFrontEnd(FrontEnd):
             flush = kernel._window_flush
             if flush is not None:
                 flush()
-            kernel._window_span = None
             kernel._window_flush = None
 
     def _before_stats_collect(self) -> None:

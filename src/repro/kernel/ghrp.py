@@ -228,9 +228,9 @@ class GHRPCacheKernel(CacheKernel):
 
     @classmethod
     def unsupported_reason(cls, policy, structure: str) -> str | None:
-        if structure != "icache":
-            return "the GHRP I-cache kernel has no BTB executor"
-        return _shape_reason(policy.predictor)
+        return super().unsupported_reason(policy, structure) or _shape_reason(
+            policy.predictor
+        )
 
     def state_digest(self) -> dict:
         return {
@@ -777,9 +777,9 @@ class GHRPBTBKernel(CacheKernel):
 
     @classmethod
     def unsupported_reason(cls, policy, structure: str) -> str | None:
-        if structure != "btb":
-            return "the GHRP BTB kernel has no I-cache executor"
-        return _shape_reason(policy.predictor)
+        return super().unsupported_reason(policy, structure) or _shape_reason(
+            policy.predictor
+        )
 
     def state_digest(self) -> dict:
         return {

@@ -13,14 +13,7 @@ from __future__ import annotations
 import numpy as _np
 
 from repro.cache.set_assoc import _INVALID_TAG
-from repro.kernel.base import (
-    BYPASS,
-    FILL,
-    HIT,
-    CacheKernel,
-    WindowPlan,
-    batch_kernel,
-)
+from repro.kernel.base import CacheKernel, WindowPlan, batch_kernel
 from repro.policies.sdbp import SDBPPolicy
 from repro.util.bits import mask
 from repro.util.hashing import skewed_index_columns
@@ -57,15 +50,10 @@ class SDBPKernel(CacheKernel):
         self._bypass_threshold = config.bypass_sum_threshold
         self._d_increments = 0
         self._d_decrements = 0
-        # Outcome of the most recent access() (the BTB wrapper reads it).
-        self.set_index = 0
-        self.way: int | None = None
 
     def state_digest(self) -> dict:
         return {
             **self._base_digest(),
-            "set_index": self.set_index,
-            "way": self.way,
             "pred_dead": self._pred_dead,
             "last_use": self._last_use,
             "clock": self._clock,
@@ -82,13 +70,6 @@ class SDBPKernel(CacheKernel):
     # ------------------------------------------------------------------
     # Flattened predictor operations
     # ------------------------------------------------------------------
-    def _counter_sum(self, signature: int) -> int:
-        # Direct lookup: the columns cover the whole signature space, and
-        # unsupported_reason guarantees three tables.
-        (c0, c1, c2), _columns_np = self._columns
-        r0, r1, r2 = self._counter_rows
-        return r0[c0[signature]] + r1[c1[signature]] + r2[c2[signature]]
-
     def _train(self, signature: int, is_dead: bool) -> None:
         (c0, c1, c2), _columns_np = self._columns
         r0, r1, r2 = self._counter_rows
@@ -146,73 +127,6 @@ class SDBPKernel(CacheKernel):
         victim.signature = (pc >> 2) & self._sig_mask
         victim.last_use = now
 
-    # ------------------------------------------------------------------
-    # The per-access path (SDBP's BTB executor, looped by BTBKernel)
-    # ------------------------------------------------------------------
-    def access(self, block: int, pc: int) -> int:
-        """One demand access to the aligned ``block`` driven by ``pc``.
-
-        Returns :data:`HIT`, :data:`FILL`, or :data:`BYPASS` and leaves
-        the touched set/way in ``set_index``/``way`` for the BTB wrapper's
-        target array.
-        """
-        set_index = (block >> self._offset_bits) & self._index_mask
-        tag = block >> self._tag_shift
-        row = self._tags[set_index]
-        try:
-            way = row.index(tag)
-        except ValueError:
-            way = -1
-        if way >= 0:
-            self._sampler_access(set_index, block, pc)
-            self._pred_dead[set_index][way] = (
-                self._counter_sum((pc >> 2) & self._sig_mask) >= self._dead_threshold
-            )
-            clock = self._clock
-            tick = clock[set_index] + 1
-            clock[set_index] = tick
-            self._last_use[set_index][way] = tick
-            self._d_hits += 1
-            self.set_index = set_index
-            self.way = way
-            return HIT
-
-        # Miss: bypass check first; a bypassed access still trains the sampler.
-        if self._counter_sum((pc >> 2) & self._sig_mask) >= self._bypass_threshold:
-            self._sampler_access(set_index, block, pc)
-            self._d_misses += 1
-            self._d_bypasses += 1
-            self.set_index = set_index
-            self.way = None
-            return BYPASS
-
-        try:
-            way = row.index(_INVALID_TAG)
-        except ValueError:
-            dead_bits = self._pred_dead[set_index]
-            try:
-                way = dead_bits.index(True)
-            except ValueError:
-                recency = self._last_use[set_index]
-                way = recency.index(min(recency))
-            self._d_evictions += 1
-            if dead_bits[way]:
-                self._d_dead_evictions += 1
-            dead_bits[way] = False
-        row[way] = tag
-        self._sampler_access(set_index, block, pc)
-        self._pred_dead[set_index][way] = (
-            self._counter_sum((pc >> 2) & self._sig_mask) >= self._dead_threshold
-        )
-        clock = self._clock
-        tick = clock[set_index] + 1
-        clock[set_index] = tick
-        self._last_use[set_index][way] = tick
-        self._d_misses += 1
-        self.set_index = set_index
-        self.way = way
-        return FILL
-
     def sync(self) -> None:
         super().sync()
         bank = self._tables_bank
@@ -230,16 +144,47 @@ class SDBPKernel(CacheKernel):
         if num_tables != 3:
             # The executor's unrolled vote reads the stock three tables.
             return f"{num_tables} prediction tables (the executor unrolls 3)"
-        return None
+        return super().unsupported_reason(policy, structure)
 
     def _make_window(self, plan: WindowPlan):
         tokens = plan.tokens
         block_size = 1 << self._offset_bits
-        blocks, pcs, acc_end = tokens.access_view(block_size)
+        blocks, pcs, ends = tokens.access_view(block_size)
         sets, atags = tokens.icache_geometry_view(
             block_size, self._offset_bits, self._index_mask, self._tag_shift
         )
-        key = ("sdbp-sig", self._sig_mask)
+        return self._bind_stream(
+            tokens, ("icache", block_size), blocks, sets, atags, pcs, ends, None
+        )
+
+    def begin_btb_window(self, plan: WindowPlan, wrapper):
+        """BTB-stream executor: the I-cache loop with the target array inline."""
+        tokens = plan.tokens
+        blocks, sets, atags = tokens.btb_geometry_view(
+            wrapper.btb.geometry.block_size,
+            self._offset_bits,
+            self._index_mask,
+            self._tag_shift,
+        )
+        return self._bind_stream(
+            tokens, ("btb",), blocks, sets, atags, tokens.bpc, tokens.btb_end, wrapper
+        )
+
+    def _bind_stream(self, tokens, stream_key, blocks, sets, atags, pcs, ends, wrapper):
+        """The window executor over one access stream.
+
+        ``blocks``/``sets``/``atags``/``pcs`` describe each access,
+        ``ends`` maps records onto accesses, and ``wrapper`` (the BTB
+        stream's :class:`~repro.kernel.base.BTBKernel`, else None) adds
+        the target array: a hit checks and rewrites the stored target, a
+        fill stores it, a bypass leaves it alone.
+        """
+        key = (
+            "sdbp-sig",
+            *stream_key,
+            self._sig_mask,
+            self._tables_bank.index_bits,
+        )
 
         def build():
             np = _np
@@ -262,12 +207,15 @@ class SDBPKernel(CacheKernel):
         bypass_thr = self._bypass_threshold
         sampled = self._sampled_sets
         sampler_access = self._sampler_access
+        btb = wrapper is not None
+        targets = wrapper._targets if btb else None
+        btarget = tokens.btarget
         cursor = 0
-        d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
+        d_hits = d_misses = d_bypasses = d_evictions = d_dead = d_tm = 0
 
         def span(lo: int, hi: int) -> None:
-            nonlocal cursor, d_hits, d_misses, d_bypasses, d_evictions, d_dead
-            end = acc_end[hi - 1] if hi > 0 else 0
+            nonlocal cursor, d_hits, d_misses, d_bypasses, d_evictions, d_dead, d_tm
+            end = ends[hi - 1] if hi > 0 else 0
             i = cursor
             bmget = bm.get
             while i < end:
@@ -284,6 +232,11 @@ class SDBPKernel(CacheKernel):
                     clock[set_index] = tick
                     last_use[set_index][wayv] = tick
                     d_hits += 1
+                    if btb:
+                        trow = targets[set_index]
+                        if trow[wayv] != btarget[i]:
+                            d_tm += 1
+                            trow[wayv] = btarget[i]
                     i += 1
                     continue
                 # Bypass vote reads the pre-sampler counters (reference order).
@@ -320,16 +273,20 @@ class SDBPKernel(CacheKernel):
                 clock[set_index] = tick
                 last_use[set_index][wayv] = tick
                 d_misses += 1
+                if btb:
+                    targets[set_index][wayv] = btarget[i]
                 i += 1
             cursor = i
 
         def flush() -> None:
-            nonlocal d_hits, d_misses, d_bypasses, d_evictions, d_dead
+            nonlocal d_hits, d_misses, d_bypasses, d_evictions, d_dead, d_tm
             self._d_hits += d_hits
             self._d_misses += d_misses
             self._d_bypasses += d_bypasses
             self._d_evictions += d_evictions
             self._d_dead_evictions += d_dead
-            d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
+            if btb:
+                wrapper._d_target_mispredictions += d_tm
+            d_hits = d_misses = d_bypasses = d_evictions = d_dead = d_tm = 0
 
         return span, flush

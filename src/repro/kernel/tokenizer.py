@@ -40,18 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traces.record import BranchRecord
 
 __all__ = [
-    "TOKEN_STREAMS",
     "TraceTokens",
     "tokenize_trace",
 ]
-
-#: Stream names a kernel may declare in ``tokenize_requirements()``.
-#: Every name maps onto arrays :class:`TraceTokens` derives: the fetch
-#: block stream, the taken-non-return BTB stream, the conditional-branch
-#: stream, and the call/return RAS stream.
-TOKEN_STREAMS = frozenset(
-    {"fetch-stream", "btb-stream", "cond-stream", "ras-stream"}
-)
 
 _INSTRUCTION_SHIFT = 2  # 4-byte instructions
 

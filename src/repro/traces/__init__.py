@@ -22,7 +22,7 @@ from repro.traces.io import (
     write_trace,
     write_trace_text,
 )
-from repro.traces.reconstruct import FetchBlockStream, FetchChunk, reconstruct_fetch_stream
+from repro.traces.reconstruct import FetchBlockStream, FetchChunk
 from repro.traces.stats import TraceSummary, summarize_trace
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "write_trace_text",
     "FetchBlockStream",
     "FetchChunk",
-    "reconstruct_fetch_stream",
     "TraceSummary",
     "summarize_trace",
 ]

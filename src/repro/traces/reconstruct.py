@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.traces.record import BranchRecord
 from repro.util.bits import is_power_of_two
 
-__all__ = ["INSTRUCTION_SIZE", "FetchChunk", "FetchBlockStream", "reconstruct_fetch_stream"]
+__all__ = ["INSTRUCTION_SIZE", "FetchChunk", "FetchBlockStream"]
 
 INSTRUCTION_SIZE = 4
 """Fixed instruction size in bytes (RISC-style, as modeled by CBP-5)."""
@@ -112,8 +112,3 @@ class FetchBlockStream:
         self.instructions_seen += chunk.instruction_count
         self.branches_seen += 1
         return chunk
-
-
-def reconstruct_fetch_stream(records: Iterable[BranchRecord]) -> FetchBlockStream:
-    """Convenience constructor for :class:`FetchBlockStream`."""
-    return FetchBlockStream(records)

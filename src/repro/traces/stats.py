@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.traces.record import BranchRecord, BranchType
-from repro.traces.reconstruct import FetchBlockStream
+from repro.util.bits import is_power_of_two
 
 __all__ = ["TraceSummary", "summarize_trace"]
 
@@ -51,30 +51,26 @@ class TraceSummary:
 
 
 def summarize_trace(records: Iterable[BranchRecord], block_size: int = 64) -> TraceSummary:
-    """Characterize a trace in one streaming pass.
+    """Characterize a trace from its tokenized fetch stream.
 
     ``code_footprint_bytes`` counts distinct touched blocks times the block
     size — the quantity that determines whether a trace stresses a given
     I-cache capacity (the mobile/server divide in the paper).
     """
-    stream = FetchBlockStream(records)
-    pcs: set[int] = set()
-    blocks: set[int] = set()
-    type_counts: Counter[BranchType] = Counter()
-    taken = 0
-    for chunk in stream:
-        record = chunk.branch
-        pcs.add(record.pc)
-        blocks.update(chunk.block_addresses(block_size))
-        type_counts[record.branch_type] += 1
-        if record.taken:
-            taken += 1
+    from repro.kernel.tokenizer import tokenize_trace
+
+    if not is_power_of_two(block_size):
+        raise ValueError(f"block size must be a power of two, got {block_size}")
+    tokens = tokenize_trace(records)
+    blocks = set(tokens.access_view(block_size)[0])
     return TraceSummary(
-        branch_count=stream.branches_seen,
-        instruction_count=stream.instructions_seen,
-        taken_count=taken,
-        unique_branch_pcs=len(pcs),
+        branch_count=tokens.n,
+        instruction_count=tokens.instr_cum[-1] if tokens.n else 0,
+        taken_count=sum(tokens.taken),
+        unique_branch_pcs=len(set(tokens.pc)),
         unique_blocks_64b=len(blocks),
         code_footprint_bytes=len(blocks) * block_size,
-        branch_type_counts=dict(type_counts),
+        branch_type_counts={
+            BranchType(kind): count for kind, count in Counter(tokens.kind).items()
+        },
     )

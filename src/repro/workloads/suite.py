@@ -15,7 +15,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.traces.record import BranchRecord
-from repro.traces.reconstruct import FetchBlockStream
 from repro.util.rng import DeterministicRng, derive_seed
 from repro.workloads.builder import build_program
 from repro.workloads.program import LoweredProgram
@@ -122,10 +121,10 @@ class Workload:
         simulation starts.
         """
         if self._instruction_count is None:
-            stream = FetchBlockStream(self.records())
-            for _ in stream:
-                pass
-            self._instruction_count = stream.instructions_seen
+            from repro.kernel.tokenizer import tokenize_trace
+
+            instr_cum = tokenize_trace(self.records()).instr_cum
+            self._instruction_count = instr_cum[-1] if instr_cum else 0
         return self._instruction_count
 
 

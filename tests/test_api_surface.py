@@ -8,7 +8,8 @@ notes in docs/api.md) in the same commit.  Silent drift fails here.
 1.3.0 removed no exported name.  It removed the
 ``FrontEndConfig.direction_predictor`` field (pinned by
 ``FRONTEND_CONFIG_FIELDS`` below) and modules below the facade; see
-"Migrating to 1.3.0" in docs/api.md.
+"Migrating to 1.3.0" in docs/api.md.  1.4.0 removed no exported name
+either, only names below the facade ("Migrating to 1.4.0").
 """
 
 import dataclasses
@@ -122,7 +123,7 @@ class TestApiSurface:
         # changes all cached results, so it is a versioned API change.
         fields = tuple(f.name for f in dataclasses.fields(repro.FrontEndConfig))
         assert fields == FRONTEND_CONFIG_FIELDS
-        assert repro.__version__ == "1.3.0"
+        assert repro.__version__ == "1.4.0"
 
     def test_engines_tuple(self):
         assert repro.ENGINES == ("reference", "fast")

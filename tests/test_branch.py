@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.branch.bimodal import AlwaysTakenPredictor, BimodalPredictor
+from repro.branch.bimodal import BimodalPredictor
 from repro.branch.perceptron import HashedPerceptronPredictor
 from repro.branch.ras import ReturnAddressStack
 from repro.util.rng import DeterministicRng
@@ -32,13 +32,6 @@ def correlated_trace(length=3000):
         trace.append((0x1000, a_taken))
         trace.append((0x2000, a_taken))
     return trace
-
-
-class TestAlwaysTaken:
-    def test_accuracy_equals_taken_rate(self):
-        trace = biased_trace(bias=0.7)
-        taken_rate = sum(t for _, t in trace) / len(trace)
-        assert accuracy(AlwaysTakenPredictor(), trace) == pytest.approx(taken_rate)
 
 
 class TestBimodal:

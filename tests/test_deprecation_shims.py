@@ -29,6 +29,10 @@ Release 1.3.0 removed the modules no entry point reached (the victim
 buffer, the two-level BTB, suite materialization, the direction-predictor
 registry with gshare, and lint baselines) and the one-value
 ``FrontEndConfig.direction_predictor`` option.
+
+Release 1.4.0 removed the fast engine's per-access kernel path (every
+kernel runs window executors only), the ``BatchKernel`` members no
+caller read, and two public names only tests reached.
 """
 
 from __future__ import annotations
@@ -136,3 +140,30 @@ def test_unreached_modules_removed(name):
 def test_direction_predictor_option_removed():
     with pytest.raises(TypeError):
         FrontEndConfig(direction_predictor="gshare")
+
+
+@pytest.mark.parametrize(("module", "name"), [
+    ("repro.branch", "AlwaysTakenPredictor"),
+    ("repro.branch.bimodal", "AlwaysTakenPredictor"),
+    ("repro.traces", "reconstruct_fetch_stream"),
+    ("repro.traces.reconstruct", "reconstruct_fetch_stream"),
+    ("repro.kernel.tokenizer", "TOKEN_STREAMS"),
+    ("repro.kernel.base", "HIT"),
+    ("repro.kernel.base", "FILL"),
+    ("repro.kernel.base", "BYPASS"),
+])
+def test_names_only_tests_reached_removed(module, name):
+    imported = importlib.import_module(module)
+    assert not hasattr(imported, name)
+    assert name not in getattr(imported, "__all__", ())
+
+
+@pytest.mark.parametrize(("cls", "member"), [
+    ("repro.kernel.sdbp.SDBPKernel", "access"),
+    ("repro.kernel.base.BTBKernel", "access"),
+    ("repro.kernel.base.BatchKernel", "run_chunk"),
+    ("repro.kernel.base.BatchKernel", "tokenize_requirements"),
+])
+def test_per_access_kernel_path_removed(cls, member):
+    module, _, name = cls.rpartition(".")
+    assert not hasattr(getattr(importlib.import_module(module), name), member)

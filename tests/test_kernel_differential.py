@@ -29,9 +29,12 @@ from repro.core.config import GHRPConfig
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import FrontEnd, build_frontend, build_policies
 from repro.frontend.options import RunOptions
+from repro.kernel.base import _BATCH_KERNELS, CacheKernel, batch_kernel
 from repro.kernel.engine import FastFrontEnd
+from repro.kernel.lru import LRUKernel
 from repro.obs import NULL_OBS, EventTracer, Observability
 from repro.policies.ghrp_policy import GHRPBTBPolicy, GHRPPolicy
+from repro.policies.lru import LRUPolicy
 from repro.policies.sdbp import SDBPConfig
 from repro.util.hashing import skewed_index_columns, skewed_indices
 from repro.workloads.spec import Category
@@ -114,13 +117,30 @@ def assert_identical(config, **run_kwargs):
 
 
 class TestKernelDifferential:
-    @pytest.mark.parametrize("policy", ["lru", "sdbp", "ghrp"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(FrontEndConfig(icache_policy="lru"), id="lru"),
+            pytest.param(FrontEndConfig(icache_policy="sdbp"), id="sdbp"),
+            pytest.param(FrontEndConfig(icache_policy="ghrp"), id="ghrp"),
+            # SDBP's BTB executor beside another I-cache policy, and the
+            # reverse: each structure binds its own kernel's executor.
+            pytest.param(
+                FrontEndConfig(icache_policy="lru", btb_policy="sdbp"),
+                id="lru-icache-sdbp-btb",
+            ),
+            pytest.param(
+                FrontEndConfig(icache_policy="sdbp", btb_policy="lru"),
+                id="sdbp-icache-lru-btb",
+            ),
+        ],
+    )
     @pytest.mark.parametrize(
         "category",
         [Category.SHORT_SERVER, Category.SHORT_MOBILE, Category.LONG_MOBILE],
     )
-    def test_policy_across_archetypes(self, policy, category):
-        assert_identical(FrontEndConfig(icache_policy=policy), category=category)
+    def test_policy_across_archetypes(self, config, category):
+        assert_identical(config, category=category)
 
     def test_standalone_ghrp_btb(self):
         assert_identical(FrontEndConfig(icache_policy="lru", btb_policy="ghrp"))
@@ -185,6 +205,31 @@ GATE_CASES = [
 ]
 
 
+@pytest.fixture
+def icache_only_kernel():
+    """A kernel registered for an ``LRUPolicy`` subclass that provides the
+    I-cache executor only (unregistered again after the test)."""
+
+    class IcacheOnlyLRU(LRUPolicy):
+        name = "icache-only-lru"
+
+    @batch_kernel(IcacheOnlyLRU)
+    class IcacheOnlyKernel(CacheKernel):
+        def __init__(self, cache, policy):
+            super().__init__(cache)
+            self.policy = policy
+            self._last_use = policy._last_use
+            self._clock = policy._clock
+
+        _make_window = LRUKernel._make_window
+        state_digest = LRUKernel.state_digest
+
+    try:
+        yield IcacheOnlyKernel
+    finally:
+        _BATCH_KERNELS.pop(IcacheOnlyLRU, None)
+
+
 class TestFastPathGate:
     """Every configuration the batch loop does not replay falls back at
     build time, says why, and produces the reference engine's results."""
@@ -217,6 +262,46 @@ class TestFastPathGate:
         )
         assert fast_state == ref_state
 
+
+    def test_kernel_without_a_btb_executor_falls_back(
+        self, icache_only_kernel, monkeypatch
+    ):
+        # An out-of-tree kernel with only an I-cache executor serves the
+        # I-cache on the fast engine; as the BTB policy it is refused at
+        # build time instead of failing at the first BTB lookup.
+        def lru_icache_fixture_btb(config):
+            icache_policy, _btb_policy, ghrp = build_policies(config)
+            return icache_policy, icache_only_kernel.policy_class(), ghrp
+
+        assert icache_only_kernel.unsupported_reason(None, "icache") is None
+        workload = make_workload(
+            "gate", Category.SHORT_SERVER, seed=2018, trace_scale=0.05
+        )
+        records = list(workload.records())
+        options = RunOptions(warmup_instructions=2000)
+        monkeypatch.setattr(frontend_engine, "build_policies", lru_icache_fixture_btb)
+        runs = {}
+        for engine in ("reference", "fast"):
+            frontend = build_frontend(FrontEndConfig(), engine=engine)
+            assert type(frontend) is FrontEnd
+            runs[engine] = frontend.run(records, options)
+        reason = runs["fast"].fast_path_fallback_reason
+        assert reason == (
+            "btb policy 'icache-only-lru': IcacheOnlyKernel has no btb executor"
+        )
+        assert asdict(runs["fast"]) == asdict(
+            replace(runs["reference"], fast_path_fallback_reason=reason)
+        )
+
+    def test_kernel_without_a_btb_executor_serves_the_icache(
+        self, icache_only_kernel, monkeypatch
+    ):
+        def fixture_icache(config):
+            _icache_policy, btb_policy, ghrp = build_policies(config)
+            return icache_only_kernel.policy_class(), btb_policy, ghrp
+
+        monkeypatch.setattr(frontend_engine, "build_policies", fixture_icache)
+        assert_identical(FrontEndConfig())
 
     def test_only_the_stock_perceptron_is_kernelized(self):
         # build_frontend never builds another predictor; constructing the

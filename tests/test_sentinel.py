@@ -406,6 +406,39 @@ class TestObsCountersAcrossFailover:
         assert counter("btb.target_mispredictions") == result.target_mispredictions
 
 
+    def test_sdbp_btb_crash_fails_over_to_reference_counters(
+        self, workload, tmp_path
+    ):
+        # A crash in SDBP's BTB executor: the takeover engine must finish
+        # with the statistics and metrics counters of a reference run.
+        config = FrontEndConfig(icache_policy="lru", btb_policy="sdbp")
+        fault = KernelFault(structure="btb", access_index=1_500, kind="raise")
+        runs = {}
+        for engine, inject in (("reference", None), ("fast", fault)):
+            obs = Observability()
+            frontend = build_frontend(config, obs=obs, engine=engine)
+            result = frontend.run(
+                workload.records(),
+                run_options(
+                    workload, config, inject_kernel_fault=inject,
+                    repro_bundle_dir=str(tmp_path),
+                ),
+            )
+            runs[engine] = (result, obs.metrics.counter)
+        (ref_result, ref_counter), (result, counter) = runs["reference"], runs["fast"]
+        assert result.degraded is True
+        assert counter("sentinel.failovers") == 1
+        assert asdict(result) == asdict(replace(ref_result, degraded=True))
+        for scope in ("icache", "btb"):
+            for name in ("hits", "misses", "bypasses", "evictions", "dead_evictions"):
+                assert counter(f"{scope}.{name}") == ref_counter(f"{scope}.{name}"), (
+                    f"{scope}.{name}"
+                )
+        assert counter("btb.target_mispredictions") == ref_counter(
+            "btb.target_mispredictions"
+        )
+
+
 # ----------------------------------------------------------------------
 # Surfacing through the grid runner and CLI
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel.tokenizer import TOKEN_STREAMS, tokenize_trace
+from repro.kernel.tokenizer import tokenize_trace
 from repro.traces.record import BranchRecord, BranchType
 from repro.traces.reconstruct import FetchBlockStream
 from repro.workloads.spec import Category
@@ -209,11 +209,3 @@ class TestRoundTrip:
                 tokens.n,
             )
             assert tokens.searchsorted_instructions(threshold) == linear
-
-    def test_token_streams_constant_names_the_streams(self):
-        assert TOKEN_STREAMS == {
-            "fetch-stream",
-            "btb-stream",
-            "cond-stream",
-            "ras-stream",
-        }

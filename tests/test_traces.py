@@ -14,11 +14,7 @@ from repro.traces.io import (
     write_trace_text,
 )
 from repro.traces.record import BranchRecord, BranchType
-from repro.traces.reconstruct import (
-    FetchBlockStream,
-    FetchChunk,
-    reconstruct_fetch_stream,
-)
+from repro.traces.reconstruct import FetchBlockStream, FetchChunk
 from repro.traces.stats import summarize_trace
 
 
@@ -162,7 +158,7 @@ class TestFetchBlockStream:
             _branch(0x1010, taken=True, target=0x2000),
             _branch(0x2008, taken=False),
         ]
-        chunks = list(reconstruct_fetch_stream(records))
+        chunks = list(FetchBlockStream(records))
         assert chunks[0].start_pc == chunks[0].branch.pc  # first chunk resyncs at pc
         assert chunks[1].start_pc == 0x2000
         assert chunks[1].instruction_count == 3
