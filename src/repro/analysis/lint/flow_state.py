@@ -24,11 +24,11 @@ Exemptions:
   mutations through them (``self.cache.now += ...``) are not digest
   material.
 - window-binding machinery (:data:`WINDOW_BINDING_FIELDS`): the chunked
-  batch engine rebinds executor closures and derived token-view caches
-  at every ``begin_window()`` and tears them down at every barrier.
-  None of it is kernel *state* — simulation state buffered inside an
-  open window's closures is flushed into digest-visible fields by
-  ``sync()`` — so the digest rightly never reads it.
+  batch engine rebinds executor closures at every ``begin_window()`` and
+  tears them down at every barrier.  None of it is kernel *state* —
+  simulation state buffered inside an open window's closures is flushed
+  into digest-visible fields by ``sync()`` — so the digest rightly never
+  reads it.
 """
 
 from __future__ import annotations
@@ -73,18 +73,11 @@ MUTATOR_METHODS = frozenset(
 _DIGEST_NAMES = ("state_digest", "digest")
 _DELTA_PREFIXES = ("_d_", "d_", "delta_", "_delta_")
 
-#: Per-window binding machinery of the chunked batch engine — executor
-#: closures bound by ``begin_window()`` and derived (content-addressed)
-#: token-view caches.  Rebuilt from tokens at every window bind and
-#: cleared at barriers; never simulation state, so never digest material.
-WINDOW_BINDING_FIELDS = frozenset(
-    {
-        "_window_flush",
-        "_fused_window",
-        "sig_columns",
-        "_sig_columns",
-    }
-)
+#: Per-window binding machinery of the chunked batch engine: the flush of
+#: the executor closures bound by ``begin_window()``.  Rebound at every
+#: window and cleared at barriers; never simulation state, so never
+#: digest material.
+WINDOW_BINDING_FIELDS = frozenset({"_window_flush"})
 
 
 # ----------------------------------------------------------------------

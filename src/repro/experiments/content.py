@@ -69,9 +69,10 @@ CELL_DIGEST_SCHEMA = 1
 #: cache, and one pickle-by-key signature-index memo; format 6: a
 #: perceptron carrying its precomputed segment parameters and history
 #: masks; format 7: kernels without window-span slots and an SDBP kernel
-#: without the per-access set/way outcome); results and ``cell_digest``
-#: are unaffected.
-SNAPSHOT_FORMAT = 7
+#: without the per-access set/way outcome; format 8: a GHRP BTB kernel
+#: that subclasses the I-cache kernel, without the fused-window flag);
+#: results and ``cell_digest`` are unaffected.
+SNAPSHOT_FORMAT = 8
 
 
 def _library_version() -> str:

@@ -93,8 +93,8 @@ class WindowPlan:
     """Everything a kernel needs to bind to one tokenized window.
 
     ``icache_kernel``/``btb_kernel`` carry the sibling kernels of the same
-    front end so a coupled pair (GHRP Section III-E) can build one fused
-    executor over both structures.
+    front end, so the GHRP I-cache executor can run a coupled BTB's
+    lookups (Section III-E) in record order.
     """
 
     __slots__ = ("tokens", "icache_kernel", "btb_kernel")

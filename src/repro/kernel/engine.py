@@ -253,8 +253,6 @@ class FastFrontEnd(FrontEnd):
         plan = WindowPlan(
             tokens, icache_kernel=self._icache_kernel, btb_kernel=self._btb_kernel
         )
-        # Bind order matters: the I-cache kernel may claim the BTB stream
-        # for a fused coupled executor before the wrapper binds.
         ispan = self._icache_kernel.begin_window(plan)
         bspan = self._btb_kernel.begin_window(plan)
         dspan = self._direction_kernel.begin_window(tokens)

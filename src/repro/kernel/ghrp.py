@@ -17,10 +17,17 @@ speculative and retired path-history registers advance identically —
 access PC sequence and the window's seed value.  The chain, every access
 signature, and every signature's skewed table indices are therefore
 precomputed per window in numpy; the chunk loop only reads/writes the
-counter tables and per-set metadata.  The coupled BTB (which probes live
-I-cache state per branch) runs *fused* with the I-cache executor in one
-record-ordered loop, because its predictions depend on the I-cache
-contents at that exact record.
+counter tables and per-set metadata.
+
+One loop body, :meth:`GHRPCacheKernel._bind_stream`, replays the
+replacement step on either stream: the I-cache's, and a standalone BTB's
+(its own signatures and branch-PC history, with the target array handled
+inline).  The BTB kernel is the I-cache kernel with the BTB's inputs.  A
+coupled BTB (the paper's design) predicts from the I-cache block's
+*current* stored signature, so its lookups cannot be chunked apart from
+the I-cache stream: the I-cache executor runs each record's BTB lookup
+right after that record's I-cache accesses, as the reference engine
+orders them, and the BTB binds an idle span.
 """
 
 from __future__ import annotations
@@ -84,6 +91,10 @@ def _shape_reason(predictor: GHRPPredictor) -> str | None:
     if history_bits > 64:
         return f"a {history_bits}-bit history (the chains use uint64 arithmetic)"
     return None
+
+
+def _idle_span(lo: int, hi: int) -> None:
+    """A coupled BTB's span: the I-cache executor runs its lookups."""
 
 
 class GHRPKernelState:
@@ -163,19 +174,53 @@ class GHRPKernelState:
             self.num_tables, self.index_bits, self.sig_mask.bit_length()
         )
 
-    def pc_chain(self, pcs):
-        """History chain over the uint64 operands derived from ``pcs``."""
-        np = _np
-        pcsh = np.asarray(pcs, dtype=np.int64) >> self.pc_shift
-        bits = ((pcsh & self.pc_mask) << 1).astype(np.uint64)
-        chain = history_chain(
-            bits,
+    def signature_view(self, tokens, stream_key: tuple, pcs, vote_after_update: bool):
+        """``(chain, stored, dead_columns, bypass_columns)`` over one stream.
+
+        Every access of the stream advances the history with its PC:
+        ``chain`` holds the register before each access (plus the final
+        value), ``stored`` the signature each access stores (pre-update
+        history), and the column triples the table indices its dead and
+        bypass votes read.  The I-cache votes on the stored signature; a
+        standalone BTB votes dead on the post-update history (the
+        reference ordering).  Memoized on ``tokens`` under every parameter
+        the arrays depend on, the history seed included.
+        """
+        key = (
+            "ghrp-sig",
+            *stream_key,
             self.history_shift,
-            self.history_mask.bit_length(),
+            self.history_mask,
+            self.pc_shift,
+            self.pc_mask,
+            self.sig_mask,
+            self.index_bits,
             self.spec,
-            len(bits),
         )
-        return pcsh, chain
+
+        def build():
+            np = _np
+            pcsh = np.asarray(pcs, dtype=np.int64) >> self.pc_shift
+            bits = ((pcsh & self.pc_mask) << 1).astype(np.uint64)
+            chain = history_chain(
+                bits,
+                self.history_shift,
+                self.history_mask.bit_length(),
+                self.spec,
+                len(bits),
+            )
+            pcsh = pcsh.astype(np.uint64)
+            sig_mask = np.uint64(self.sig_mask)
+            _cols, cols_np = self.signature_columns()
+            pre = ((chain[:-1] ^ pcsh) & sig_mask).astype(np.int64)
+            bypass = tuple(col[pre].tolist() for col in cols_np)
+            dead = bypass
+            if vote_after_update:
+                post = ((chain[1:] ^ pcsh) & sig_mask).astype(np.int64)
+                dead = tuple(col[post].tolist() for col in cols_np)
+            return chain.tolist(), pre.tolist(), dead, bypass
+
+        return tokens.view(key, build)
 
     def commit(self, history: int) -> None:
         """Land a window's path history, truncated to the register width.
@@ -245,217 +290,45 @@ class GHRPCacheKernel(CacheKernel):
     # ------------------------------------------------------------------
     # Batch executors
     # ------------------------------------------------------------------
-    def _icache_arrays(self, tokens):
-        """Per-access (spec chain, signature, table-index columns)."""
-        state = self.state
-        block_size = 1 << self._offset_bits
-        _blocks, pcs, _acc_end = tokens.access_view(block_size)
-        key = (
-            "ghrp-icache",
-            block_size,
-            state.history_shift,
-            state.history_mask,
-            state.pc_shift,
-            state.pc_mask,
-            state.sig_mask,
-            state.spec,
-        )
-
-        def build():
-            np = _np
-            pcsh, chain = state.pc_chain(pcs)
-            sig = (
-                (chain[:-1] ^ pcsh.astype(np.uint64)) & np.uint64(state.sig_mask)
-            ).astype(np.int64)
-            _cols, cols_np = state.signature_columns()
-            idx = tuple(col[sig].tolist() for col in cols_np)
-            return chain.tolist(), sig.tolist(), idx
-
-        return tokens.view(key, build)
-
     def _make_window(self, plan: WindowPlan):
-        wrapper = plan.btb_kernel
-        inner = wrapper.inner if wrapper is not None else None
-        if isinstance(inner, GHRPBTBKernel) and not inner.standalone:
-            # The gate guarantees a coupled BTB is coupled to this policy.
-            return self._make_fused_window(plan, wrapper, inner)
-        return self._make_icache_window(plan)
-
-    def _make_icache_window(self, plan: WindowPlan):
         tokens = plan.tokens
-        state = self.state
         block_size = 1 << self._offset_bits
-        blocks, _pcs, acc_end = tokens.access_view(block_size)
-        _sets, atags = tokens.icache_geometry_view(
-            block_size, self._offset_bits, self._index_mask, self._tag_shift
-        )
-        sets = _sets
-        spec_l, sig_l, (i0a, i1a, i2a) = self._icache_arrays(tokens)
-        (l0, l1, l2), _cols_np = state.signature_columns()
-        r0, r1, r2 = state.tables
-        if self._blockmap is None:
-            self._blockmap = self._build_blockmap()
-        bm = self._blockmap
-        rows = self._tags
-        sigs = self._signatures
-        dead = self._pred_dead
-        last_use = self._last_use
-        clock = self._clock
-        tag_shift = self._tag_shift
-        offset_bits = self._offset_bits
-        dead_thr = state.dead_threshold
-        bypass_thr = state.bypass_threshold
-        counter_max = state.counter_max
-        # Stored signatures are truncated to their Table I width at the
-        # store, which is where the flow-table1-width proof reads them.
-        sig_mask = state.sig_mask
-        enable_bypass = self._enable_bypass
-        cursor = 0
-        d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
-        d_pred = d_inc = d_dec = 0
-
-        def span(lo: int, hi: int) -> None:
-            nonlocal cursor, d_hits, d_misses, d_bypasses, d_evictions, d_dead
-            nonlocal d_pred, d_inc, d_dec
-            end = acc_end[hi - 1] if hi > 0 else 0
-            i = cursor
-            bmget = bm.get
-            while i < end:
-                block = blocks[i]
-                set_index = sets[i]
-                wayv = bmget(block, -1)
-                if wayv >= 0:
-                    sigrow = sigs[set_index]
-                    old = sigrow[wayv]
-                    if old is not None:
-                        a = l0[old]
-                        v = r0[a]
-                        if v > 0:
-                            r0[a] = v - 1
-                        a = l1[old]
-                        v = r1[a]
-                        if v > 0:
-                            r1[a] = v - 1
-                        a = l2[old]
-                        v = r2[a]
-                        if v > 0:
-                            r2[a] = v - 1
-                        d_dec += 1
-                    sigrow[wayv] = sig_l[i] & sig_mask
-                    d_pred += 1
-                    dead[set_index][wayv] = (
-                        (r0[i0a[i]] >= dead_thr)
-                        + (r1[i1a[i]] >= dead_thr)
-                        + (r2[i2a[i]] >= dead_thr)
-                    ) > 1
-                    tick = clock[set_index] + 1
-                    clock[set_index] = tick
-                    last_use[set_index][wayv] = tick
-                    d_hits += 1
-                    i += 1
-                    continue
-                a0 = i0a[i]
-                a1 = i1a[i]
-                a2 = i2a[i]
-                if enable_bypass:
-                    d_pred += 1
-                    if (
-                        (r0[a0] >= bypass_thr)
-                        + (r1[a1] >= bypass_thr)
-                        + (r2[a2] >= bypass_thr)
-                    ) > 1:
-                        d_misses += 1
-                        d_bypasses += 1
-                        i += 1
-                        continue
-                row = rows[set_index]
-                try:
-                    wayv = row.index(_INVALID_TAG)
-                except ValueError:
-                    dead_row = dead[set_index]
-                    try:
-                        wayv = dead_row.index(True)
-                    except ValueError:
-                        recency = last_use[set_index]
-                        wayv = recency.index(min(recency))
-                    d_evictions += 1
-                    if dead_row[wayv]:
-                        d_dead += 1
-                    sigrow = sigs[set_index]
-                    old = sigrow[wayv]
-                    if old is not None:
-                        a = l0[old]
-                        v = r0[a]
-                        if v < counter_max:
-                            r0[a] = v + 1
-                        a = l1[old]
-                        v = r1[a]
-                        if v < counter_max:
-                            r1[a] = v + 1
-                        a = l2[old]
-                        v = r2[a]
-                        if v < counter_max:
-                            r2[a] = v + 1
-                        d_inc += 1
-                    sigrow[wayv] = None
-                    dead_row[wayv] = False
-                    del bm[(row[wayv] << tag_shift) | (set_index << offset_bits)]
-                row[wayv] = atags[i]
-                bm[block] = wayv
-                sigs[set_index][wayv] = sig_l[i] & sig_mask
-                d_pred += 1
-                dead[set_index][wayv] = (
-                    (r0[a0] >= dead_thr)
-                    + (r1[a1] >= dead_thr)
-                    + (r2[a2] >= dead_thr)
-                ) > 1
-                tick = clock[set_index] + 1
-                clock[set_index] = tick
-                last_use[set_index][wayv] = tick
-                d_misses += 1
-                i += 1
-            cursor = i
-
-        def flush() -> None:
-            nonlocal d_hits, d_misses, d_bypasses, d_evictions, d_dead
-            nonlocal d_pred, d_inc, d_dec
-            self._d_hits += d_hits
-            self._d_misses += d_misses
-            self._d_bypasses += d_bypasses
-            self._d_evictions += d_evictions
-            self._d_dead_evictions += d_dead
-            state.d_predictions += d_pred
-            state.d_increments += d_inc
-            state.d_decrements += d_dec
-            d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
-            d_pred = d_inc = d_dec = 0
-            state.commit(spec_l[cursor])
-
-        return span, flush
-
-    def _make_fused_window(self, plan: WindowPlan, wrapper, inner: "GHRPBTBKernel"):
-        """One record-ordered loop over both structures (Section III-E).
-
-        The coupled BTB's dead votes read the I-cache block's *current*
-        stored signature, so the two access streams cannot be chunked
-        independently; this executor interleaves them exactly as the
-        reference engine does (all I-cache blocks of a record, then its
-        BTB lookup).  The BTB wrapper binds a no-op span for the window
-        (see :meth:`GHRPBTBKernel.begin_btb_window`).
-        """
-        tokens = plan.tokens
-        state = self.state
-        state2 = inner.state
-        shared = state2 is state
-        np = _np
-
-        # --- I-cache side (identical data to the solo executor) ---------
-        block_size = 1 << self._offset_bits
-        blocks, _pcs, acc_end_l = tokens.access_view(block_size)
+        blocks, pcs, ends = tokens.access_view(block_size)
         sets, atags = tokens.icache_geometry_view(
             block_size, self._offset_bits, self._index_mask, self._tag_shift
         )
-        spec_l, sig_l, (i0a, i1a, i2a) = self._icache_arrays(tokens)
+        signatures = self.state.signature_view(
+            tokens, ("icache", block_size), pcs, False
+        )
+        wrapper = plan.btb_kernel
+        inner = wrapper.inner if wrapper is not None else None
+        # The gate guarantees a coupled BTB is coupled to this policy.
+        coupled = (
+            wrapper
+            if isinstance(inner, GHRPBTBKernel) and not inner.standalone
+            else None
+        )
+        return self._bind_stream(
+            tokens, (blocks, sets, atags, ends), signatures, None, coupled
+        )
+
+    def _bind_stream(self, tokens, stream, signatures, wrapper, coupled):
+        """The window executor over one access stream.
+
+        ``stream`` is ``(blocks, sets, atags, ends)``: each access's
+        block, set and tag, and the record → access prefix ends.
+        ``signatures`` is :meth:`GHRPKernelState.signature_view`'s tuple.
+        ``wrapper`` (the BTB stream's :class:`~repro.kernel.base.BTBKernel`,
+        else None) selects the BTB thresholds and adds the target array: a
+        hit checks and rewrites the stored target, a fill stores it, a
+        bypass leaves it alone.  ``coupled`` (a coupled GHRP BTB's
+        wrapper, on the I-cache stream only) runs that BTB's lookup after
+        each record's I-cache accesses: the same replacement step, but
+        voting on the I-cache block's stored signature and never training.
+        """
+        state = self.state
+        blocks, sets, atags, ends = stream
+        chain, stored, (d0, d1, d2), (b0, b1, b2) = signatures
         (l0, l1, l2), _cols_np = state.signature_columns()
         r0, r1, r2 = state.tables
         if self._blockmap is None:
@@ -468,81 +341,74 @@ class GHRPCacheKernel(CacheKernel):
         clock = self._clock
         tag_shift = self._tag_shift
         offset_bits = self._offset_bits
-        dead_thr = state.dead_threshold
-        bypass_thr = state.bypass_threshold
+        btb = wrapper is not None
+        if btb:
+            dead_thr = state.btb_dead_threshold
+            bypass_thr = state.btb_bypass_threshold
+        else:
+            dead_thr = state.dead_threshold
+            bypass_thr = state.bypass_threshold
         counter_max = state.counter_max
         # Stored signatures are truncated to their Table I width at the
         # store, which is where the flow-table1-width proof reads them.
         sig_mask = state.sig_mask
         enable_bypass = self._enable_bypass
-
-        # --- BTB side ----------------------------------------------------
-        geometry = wrapper.btb.geometry
-        bblocks, bsets, btags = tokens.btb_geometry_view(
-            geometry.block_size,
-            inner._offset_bits,
-            inner._index_mask,
-            inner._tag_shift,
-        )
+        lookup = coupled is not None
+        target_owner = coupled if lookup else wrapper
+        targets = target_owner._targets if target_owner is not None else None
         btarget = tokens.btarget
-        btb_end = tokens.btb_end
-        if inner._blockmap is None:
-            inner._blockmap = inner._build_blockmap()
-        bm2 = inner._blockmap
-        rows2 = inner._tags
-        dead2 = inner._pred_dead
-        lu2 = inner._last_use
-        clock2 = inner._clock
-        btag_shift = inner._tag_shift
-        boffset_bits = inner._offset_bits
-        targets = wrapper._targets
-        (lb0, lb1, lb2), _bcols_np = state2.signature_columns()
-        rb0, rb1, rb2 = state2.tables
-        bdt = state2.btb_dead_threshold
-        bbp = state2.btb_bypass_threshold
-        enable_bypass2 = inner._enable_bypass
-        bsig_mask = state2.sig_mask
-        # Probe locations in the I-cache for each BTB access.
-        bpc_np = np.asarray(tokens.bpc, dtype=np.int64)
-        pblk = (bpc_np & ~(block_size - 1)).tolist()
-        pset = (((bpc_np & ~(block_size - 1)) >> offset_bits) & self._index_mask).tolist()
-        bpcsh = (bpc_np >> state2.pc_shift).tolist()
-        if not shared:
-            # The coupled BTB never advances its own history, so with a
-            # private predictor its fallback signature is a constant-spec
-            # function of the branch PC.
-            dyn_l = (
-                (np.uint64(state2.spec) ^ (bpc_np >> state2.pc_shift).astype(np.uint64))
-                & np.uint64(bsig_mask)
-            ).astype(np.int64).tolist()
-        else:
-            dyn_l = None
-
-        rcur = 0
-        acur = 0
-        bcur = 0
+        if lookup:
+            inner = coupled.inner
+            state2 = inner.state
+            shared = state2 is state
+            btb_end = tokens.btb_end
+            bblocks, bsets, btags = tokens.btb_geometry_view(
+                coupled.btb.geometry.block_size,
+                inner._offset_bits,
+                inner._index_mask,
+                inner._tag_shift,
+            )
+            if inner._blockmap is None:
+                inner._blockmap = inner._build_blockmap()
+            bm2 = inner._blockmap
+            rows2 = inner._tags
+            dead2 = inner._pred_dead
+            lu2 = inner._last_use
+            clock2 = inner._clock
+            btag_shift = inner._tag_shift
+            boffset_bits = inner._offset_bits
+            (lb0, lb1, lb2), _bcols_np = state2.signature_columns()
+            rb0, rb1, rb2 = state2.tables
+            bdt = state2.btb_dead_threshold
+            bbp = state2.btb_bypass_threshold
+            enable_bypass2 = inner._enable_bypass
+            bsig_mask = state2.sig_mask
+            # A private predictor's history never advances on the coupled
+            # BTB, so its fallback signatures read the window's seed.
+            spec2 = state2.spec
+            # Where each branch probes the I-cache for its block's signature.
+            bpc = _np.asarray(tokens.bpc, dtype=_np.int64)
+            pblk_np = bpc & ~((1 << offset_bits) - 1)
+            pblk = pblk_np.tolist()
+            pset = ((pblk_np >> offset_bits) & self._index_mask).tolist()
+            bpcsh = (bpc >> state2.pc_shift).tolist()
+        cursor = bcursor = 0
         d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
-        d_pred = d_inc = d_dec = 0
-        b_hits = b_misses = b_bypasses = b_evictions = b_dead = 0
-        b_pred = 0
-        d_tm = 0
+        d_pred = d_inc = d_dec = d_tm = 0
+        b_hits = b_misses = b_bypasses = b_evictions = b_dead = b_pred = 0
 
         def span(lo: int, hi: int) -> None:
-            nonlocal rcur, acur, bcur
-            nonlocal d_hits, d_misses, d_bypasses, d_evictions, d_dead
-            nonlocal d_pred, d_inc, d_dec
+            nonlocal cursor, bcursor, d_hits, d_misses, d_bypasses, d_evictions
+            nonlocal d_dead, d_pred, d_inc, d_dec, d_tm
             nonlocal b_hits, b_misses, b_bypasses, b_evictions, b_dead, b_pred
-            nonlocal d_tm
-            r = rcur
-            i = acur
-            j = bcur
-            if r >= hi:
-                return
+            i = cursor
+            j = bcursor
             bmget = bm.get
-            bm2get = bm2.get
-            while r < hi:
-                ae = acc_end_l[r]
-                while i < ae:
+            bm2get = bm2.get if lookup else None
+            # Without a coupled BTB the chunk is one run of accesses.
+            for r in range(lo, hi) if lookup else (hi - 1,):
+                end = ends[r]
+                while i < end:
                     block = blocks[i]
                     set_index = sets[i]
                     wayv = bmget(block, -1)
@@ -563,28 +429,30 @@ class GHRPCacheKernel(CacheKernel):
                             if v > 0:
                                 r2[a] = v - 1
                             d_dec += 1
-                        sigrow[wayv] = sig_l[i] & sig_mask
+                        sigrow[wayv] = stored[i] & sig_mask
                         d_pred += 1
                         dead[set_index][wayv] = (
-                            (r0[i0a[i]] >= dead_thr)
-                            + (r1[i1a[i]] >= dead_thr)
-                            + (r2[i2a[i]] >= dead_thr)
+                            (r0[d0[i]] >= dead_thr)
+                            + (r1[d1[i]] >= dead_thr)
+                            + (r2[d2[i]] >= dead_thr)
                         ) > 1
                         tick = clock[set_index] + 1
                         clock[set_index] = tick
                         last_use[set_index][wayv] = tick
                         d_hits += 1
+                        if btb:
+                            trow = targets[set_index]
+                            if trow[wayv] != btarget[i]:
+                                d_tm += 1
+                                trow[wayv] = btarget[i]
                         i += 1
                         continue
-                    a0 = i0a[i]
-                    a1 = i1a[i]
-                    a2 = i2a[i]
                     if enable_bypass:
                         d_pred += 1
                         if (
-                            (r0[a0] >= bypass_thr)
-                            + (r1[a1] >= bypass_thr)
-                            + (r2[a2] >= bypass_thr)
+                            (r0[b0[i]] >= bypass_thr)
+                            + (r1[b1[i]] >= bypass_thr)
+                            + (r2[b2[i]] >= bypass_thr)
                         ) > 1:
                             d_misses += 1
                             d_bypasses += 1
@@ -624,102 +492,83 @@ class GHRPCacheKernel(CacheKernel):
                         del bm[(row[wayv] << tag_shift) | (set_index << offset_bits)]
                     row[wayv] = atags[i]
                     bm[block] = wayv
-                    sigs[set_index][wayv] = sig_l[i] & sig_mask
+                    sigs[set_index][wayv] = stored[i] & sig_mask
                     d_pred += 1
                     dead[set_index][wayv] = (
-                        (r0[a0] >= dead_thr)
-                        + (r1[a1] >= dead_thr)
-                        + (r2[a2] >= dead_thr)
+                        (r0[d0[i]] >= dead_thr)
+                        + (r1[d1[i]] >= dead_thr)
+                        + (r2[d2[i]] >= dead_thr)
                     ) > 1
                     tick = clock[set_index] + 1
                     clock[set_index] = tick
                     last_use[set_index][wayv] = tick
                     d_misses += 1
+                    if btb:
+                        targets[set_index][wayv] = btarget[i]
                     i += 1
 
-                if btb_end[r] > j:
-                    # --- the record's BTB lookup (taken, non-return) -----
+                if lookup and btb_end[r] > j:
+                    # The record's coupled BTB lookup (taken, non-return).
                     bset = bsets[j]
                     tgt = btarget[j]
                     iway = bmget(pblk[j], -1)
-                    sig = None
-                    if iway >= 0:
-                        sig = sigs[pset[j]][iway]
+                    sig = sigs[pset[j]][iway] if iway >= 0 else None
                     if sig is None:
-                        if shared:
-                            sig = (spec_l[i] ^ bpcsh[j]) & bsig_mask
-                        else:
-                            sig = dyn_l[j]
+                        sig = ((chain[i] if shared else spec2) ^ bpcsh[j]) & bsig_mask
                     c0 = lb0[sig]
                     c1 = lb1[sig]
                     c2 = lb2[sig]
                     way2 = bm2get(bblocks[j], -1)
                     if way2 >= 0:
-                        b_pred += 1
-                        dead2[bset][way2] = (
-                            (rb0[c0] >= bdt) + (rb1[c1] >= bdt) + (rb2[c2] >= bdt)
-                        ) > 1
-                        tick = clock2[bset] + 1
-                        clock2[bset] = tick
-                        lu2[bset][way2] = tick
                         b_hits += 1
                         trow = targets[bset]
                         if trow[way2] != tgt:
                             d_tm += 1
                             trow[way2] = tgt
+                    elif enable_bypass2 and (
+                        (rb0[c0] >= bbp) + (rb1[c1] >= bbp) + (rb2[c2] >= bbp)
+                    ) > 1:
+                        b_pred += 1
+                        b_misses += 1
+                        b_bypasses += 1
+                        j += 1
+                        continue
                     else:
-                        bypassed = False
-                        if enable_bypass2:
-                            b_pred += 1
-                            if (
-                                (rb0[c0] >= bbp) + (rb1[c1] >= bbp) + (rb2[c2] >= bbp)
-                            ) > 1:
-                                b_misses += 1
-                                b_bypasses += 1
-                                bypassed = True
-                        if not bypassed:
-                            row2 = rows2[bset]
+                        b_pred += enable_bypass2
+                        row2 = rows2[bset]
+                        try:
+                            way2 = row2.index(_INVALID_TAG)
+                        except ValueError:
+                            dead_row = dead2[bset]
                             try:
-                                way2 = row2.index(_INVALID_TAG)
+                                way2 = dead_row.index(True)
                             except ValueError:
-                                dr = dead2[bset]
-                                try:
-                                    way2 = dr.index(True)
-                                except ValueError:
-                                    rec = lu2[bset]
-                                    way2 = rec.index(min(rec))
-                                b_evictions += 1
-                                if dr[way2]:
-                                    b_dead += 1
-                                dr[way2] = False
-                                del bm2[
-                                    (row2[way2] << btag_shift)
-                                    | (bset << boffset_bits)
-                                ]
-                            row2[way2] = btags[j]
-                            bm2[bblocks[j]] = way2
-                            b_pred += 1
-                            dead2[bset][way2] = (
-                                (rb0[c0] >= bdt)
-                                + (rb1[c1] >= bdt)
-                                + (rb2[c2] >= bdt)
-                            ) > 1
-                            tick = clock2[bset] + 1
-                            clock2[bset] = tick
-                            lu2[bset][way2] = tick
-                            b_misses += 1
-                            targets[bset][way2] = tgt
+                                recency = lu2[bset]
+                                way2 = recency.index(min(recency))
+                            b_evictions += 1
+                            if dead_row[way2]:
+                                b_dead += 1
+                            dead_row[way2] = False
+                            del bm2[(row2[way2] << btag_shift) | (bset << boffset_bits)]
+                        row2[way2] = btags[j]
+                        bm2[bblocks[j]] = way2
+                        b_misses += 1
+                        targets[bset][way2] = tgt
+                    b_pred += 1
+                    dead2[bset][way2] = (
+                        (rb0[c0] >= bdt) + (rb1[c1] >= bdt) + (rb2[c2] >= bdt)
+                    ) > 1
+                    tick = clock2[bset] + 1
+                    clock2[bset] = tick
+                    lu2[bset][way2] = tick
                     j += 1
-                r += 1
-            rcur = r
-            acur = i
-            bcur = j
+            cursor = i
+            bcursor = j
 
         def flush() -> None:
             nonlocal d_hits, d_misses, d_bypasses, d_evictions, d_dead
-            nonlocal d_pred, d_inc, d_dec
+            nonlocal d_pred, d_inc, d_dec, d_tm
             nonlocal b_hits, b_misses, b_bypasses, b_evictions, b_dead, b_pred
-            nonlocal d_tm
             self._d_hits += d_hits
             self._d_misses += d_misses
             self._d_bypasses += d_bypasses
@@ -728,270 +577,56 @@ class GHRPCacheKernel(CacheKernel):
             state.d_predictions += d_pred
             state.d_increments += d_inc
             state.d_decrements += d_dec
-            inner._d_hits += b_hits
-            inner._d_misses += b_misses
-            inner._d_bypasses += b_bypasses
-            inner._d_evictions += b_evictions
-            inner._d_dead_evictions += b_dead
-            state2.d_predictions += b_pred
-            wrapper._d_target_mispredictions += d_tm
+            if target_owner is not None:
+                target_owner._d_target_mispredictions += d_tm
+            if lookup:
+                inner._d_hits += b_hits
+                inner._d_misses += b_misses
+                inner._d_bypasses += b_bypasses
+                inner._d_evictions += b_evictions
+                inner._d_dead_evictions += b_dead
+                state2.d_predictions += b_pred
             d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
-            d_pred = d_inc = d_dec = 0
-            b_hits = b_misses = b_bypasses = b_evictions = b_dead = 0
-            b_pred = 0
-            d_tm = 0
-            state.commit(spec_l[acur])
+            d_pred = d_inc = d_dec = d_tm = 0
+            b_hits = b_misses = b_bypasses = b_evictions = b_dead = b_pred = 0
+            state.commit(chain[cursor])
 
-        inner._fused_window = True
         return span, flush
 
 
 @batch_kernel(GHRPBTBPolicy)
-class GHRPBTBKernel(CacheKernel):
+class GHRPBTBKernel(GHRPCacheKernel):
     """Flattened GHRP BTB path (Section III-E), coupled or standalone.
 
-    Coupled mode reads the I-cache block's stored signature straight from
-    the aliased I-cache state (the kernels mutate the same rows, so the
-    probe is always coherent) and never trains or advances history.
-    Standalone mode owns per-entry signatures and trains like the I-cache
-    side, with non-speculative history updates (branch PCs only).
+    Standalone mode owns per-entry signatures and runs the I-cache
+    kernel's loop body over the BTB stream, with non-speculative history
+    updates (branch PCs only).  Coupled mode has no executor of its own:
+    the I-cache kernel's executor runs its lookups, reading the I-cache
+    block's stored signature straight from the aliased I-cache state, and
+    never trains or advances history.
     """
 
+    # GHRP's BTB policy replays the BTB stream only.
+    _make_window = CacheKernel._make_window
+
     def __init__(self, cache, policy: GHRPBTBPolicy, state: GHRPKernelState):
-        super().__init__(cache)
-        self.policy = policy
-        self.state = state
-        self._pred_dead = policy._pred_dead
-        self._last_use = policy._last_use
-        self._clock = policy._clock
-        self._enable_bypass = policy.enable_bypass
+        super().__init__(cache, policy, state)  # coupled: no per-entry signatures
         self.standalone = policy.standalone
-        self._signatures = policy._signatures  # empty list in coupled mode
-        # Set for one window when the I-cache kernel builds the fused
-        # coupled executor (which then runs this kernel's accesses too).
-        self._fused_window = False
-
-    @classmethod
-    def build(cls, cache, policy, context: KernelContext):
-        return cls(cache, policy, context.ghrp_state(policy.predictor))
-
-    @classmethod
-    def unsupported_reason(cls, policy, structure: str) -> str | None:
-        return super().unsupported_reason(policy, structure) or _shape_reason(
-            policy.predictor
-        )
 
     def state_digest(self) -> dict:
-        return {
-            **self._base_digest(),
-            "standalone": self.standalone,
-            "signatures": self._signatures,
-            "pred_dead": self._pred_dead,
-            "last_use": self._last_use,
-            "clock": self._clock,
-            "predictor": self.state.digest(),
-        }
+        return {**super().state_digest(), "standalone": self.standalone}
 
-    # ------------------------------------------------------------------
-    # Batch executors
-    # ------------------------------------------------------------------
     def begin_btb_window(self, plan: WindowPlan, wrapper):
-        if self._fused_window:
-            # The fused coupled executor (bound by the I-cache kernel for
-            # this window) already runs every BTB access in record order.
-            self._fused_window = False
-
-            def noop_span(lo: int, hi: int) -> None:
-                return None
-
-            return noop_span, None
         if not self.standalone:
-            raise RuntimeError(
-                "coupled GHRP BTB kernel bound without its fused I-cache executor"
-            )
-        return self._make_standalone_window(plan, wrapper)
-
-    def _make_standalone_window(self, plan: WindowPlan, wrapper):
-        """Standalone-mode executor over the BTB stream.
-
-        Every access advances the (private) path history with the branch
-        PC, so the chain precomputes over the BTB stream alone.  Stored
-        signatures use the pre-update history, dead votes on hit/fill the
-        post-update history (the reference ordering).
-        """
+            return _idle_span, None
         tokens = plan.tokens
-        state = self.state
-        np = _np
-        geometry = wrapper.btb.geometry
-        bblocks, bsets, btags = tokens.btb_geometry_view(
-            geometry.block_size, self._offset_bits, self._index_mask, self._tag_shift
+        blocks, sets, atags = tokens.btb_geometry_view(
+            wrapper.btb.geometry.block_size,
+            self._offset_bits,
+            self._index_mask,
+            self._tag_shift,
         )
-        btarget = tokens.btarget
-        btb_end = tokens.btb_end
-        key = (
-            "ghrp-btb-standalone",
-            state.history_shift,
-            state.history_mask,
-            state.pc_shift,
-            state.pc_mask,
-            state.sig_mask,
-            state.spec,
+        signatures = self.state.signature_view(tokens, ("btb",), tokens.bpc, True)
+        return self._bind_stream(
+            tokens, (blocks, sets, atags, tokens.btb_end), signatures, wrapper, None
         )
-
-        def build():
-            pcsh, chain = state.pc_chain(tokens.bpc)
-            pcsh_u = pcsh.astype(np.uint64)
-            sig_mask_u = np.uint64(state.sig_mask)
-            sig_pre = ((chain[:-1] ^ pcsh_u) & sig_mask_u).astype(np.int64)
-            sig_post = ((chain[1:] ^ pcsh_u) & sig_mask_u).astype(np.int64)
-            return chain.tolist(), sig_pre.tolist(), sig_post.tolist()
-
-        spec_l, sig_pre, sig_post = tokens.view(key, build)
-        (l0, l1, l2), _cols_np = state.signature_columns()
-        r0, r1, r2 = state.tables
-        if self._blockmap is None:
-            self._blockmap = self._build_blockmap()
-        bm = self._blockmap
-        rows = self._tags
-        sigs = self._signatures
-        dead = self._pred_dead
-        last_use = self._last_use
-        clock = self._clock
-        tag_shift = self._tag_shift
-        offset_bits = self._offset_bits
-        targets = wrapper._targets
-        bdt = state.btb_dead_threshold
-        bbp = state.btb_bypass_threshold
-        counter_max = state.counter_max
-        enable_bypass = self._enable_bypass
-        cursor = 0
-        d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
-        d_pred = d_inc = d_dec = 0
-        d_tm = 0
-
-        def span(lo: int, hi: int) -> None:
-            nonlocal cursor, d_hits, d_misses, d_bypasses, d_evictions, d_dead
-            nonlocal d_pred, d_inc, d_dec, d_tm
-            end = btb_end[hi - 1] if hi > 0 else 0
-            j = cursor
-            bmget = bm.get
-            while j < end:
-                block = bblocks[j]
-                set_index = bsets[j]
-                tgt = btarget[j]
-                wayv = bmget(block, -1)
-                if wayv >= 0:
-                    sigrow = sigs[set_index]
-                    old = sigrow[wayv]
-                    if old is not None:
-                        a = l0[old]
-                        v = r0[a]
-                        if v > 0:
-                            r0[a] = v - 1
-                        a = l1[old]
-                        v = r1[a]
-                        if v > 0:
-                            r1[a] = v - 1
-                        a = l2[old]
-                        v = r2[a]
-                        if v > 0:
-                            r2[a] = v - 1
-                        d_dec += 1
-                    sigrow[wayv] = sig_pre[j]
-                    sig = sig_post[j]
-                    d_pred += 1
-                    dead[set_index][wayv] = (
-                        (r0[l0[sig]] >= bdt)
-                        + (r1[l1[sig]] >= bdt)
-                        + (r2[l2[sig]] >= bdt)
-                    ) > 1
-                    tick = clock[set_index] + 1
-                    clock[set_index] = tick
-                    last_use[set_index][wayv] = tick
-                    d_hits += 1
-                    trow = targets[set_index]
-                    if trow[wayv] != tgt:
-                        d_tm += 1
-                        trow[wayv] = tgt
-                    j += 1
-                    continue
-                if enable_bypass:
-                    sig = sig_pre[j]
-                    d_pred += 1
-                    if (
-                        (r0[l0[sig]] >= bbp)
-                        + (r1[l1[sig]] >= bbp)
-                        + (r2[l2[sig]] >= bbp)
-                    ) > 1:
-                        d_misses += 1
-                        d_bypasses += 1
-                        j += 1
-                        continue
-                row = rows[set_index]
-                try:
-                    wayv = row.index(_INVALID_TAG)
-                except ValueError:
-                    dead_row = dead[set_index]
-                    try:
-                        wayv = dead_row.index(True)
-                    except ValueError:
-                        recency = last_use[set_index]
-                        wayv = recency.index(min(recency))
-                    d_evictions += 1
-                    if dead_row[wayv]:
-                        d_dead += 1
-                    sigrow = sigs[set_index]
-                    old = sigrow[wayv]
-                    if old is not None:
-                        a = l0[old]
-                        v = r0[a]
-                        if v < counter_max:
-                            r0[a] = v + 1
-                        a = l1[old]
-                        v = r1[a]
-                        if v < counter_max:
-                            r1[a] = v + 1
-                        a = l2[old]
-                        v = r2[a]
-                        if v < counter_max:
-                            r2[a] = v + 1
-                        d_inc += 1
-                    sigrow[wayv] = None
-                    dead_row[wayv] = False
-                    del bm[(row[wayv] << tag_shift) | (set_index << offset_bits)]
-                row[wayv] = btags[j]
-                bm[block] = wayv
-                sigs[set_index][wayv] = sig_pre[j]
-                sig = sig_post[j]
-                d_pred += 1
-                dead[set_index][wayv] = (
-                    (r0[l0[sig]] >= bdt)
-                    + (r1[l1[sig]] >= bdt)
-                    + (r2[l2[sig]] >= bdt)
-                ) > 1
-                tick = clock[set_index] + 1
-                clock[set_index] = tick
-                last_use[set_index][wayv] = tick
-                d_misses += 1
-                targets[set_index][wayv] = tgt
-                j += 1
-            cursor = j
-
-        def flush() -> None:
-            nonlocal d_hits, d_misses, d_bypasses, d_evictions, d_dead
-            nonlocal d_pred, d_inc, d_dec, d_tm
-            self._d_hits += d_hits
-            self._d_misses += d_misses
-            self._d_bypasses += d_bypasses
-            self._d_evictions += d_evictions
-            self._d_dead_evictions += d_dead
-            state.d_predictions += d_pred
-            state.d_increments += d_inc
-            state.d_decrements += d_dec
-            wrapper._d_target_mispredictions += d_tm
-            d_hits = d_misses = d_bypasses = d_evictions = d_dead = 0
-            d_pred = d_inc = d_dec = 0
-            d_tm = 0
-            state.commit(spec_l[cursor])
-
-        return span, flush

@@ -32,6 +32,7 @@ from repro.frontend.options import RunOptions
 from repro.kernel.base import _BATCH_KERNELS, CacheKernel, batch_kernel
 from repro.kernel.engine import FastFrontEnd
 from repro.kernel.lru import LRUKernel
+from repro.kernel.tokenizer import tokenize_trace
 from repro.obs import NULL_OBS, EventTracer, Observability
 from repro.policies.ghrp_policy import GHRPBTBPolicy, GHRPPolicy
 from repro.policies.lru import LRUPolicy
@@ -114,6 +115,12 @@ def assert_identical(config, **run_kwargs):
     assert ref_state.keys() == fast_state.keys()
     for key in ref_state:
         assert ref_state[key] == fast_state[key], f"state diverged: {key}"
+    return fast_result
+
+
+#: Structures small enough that short-server workloads fill them: at the
+#: paper geometry the differential runs evict and bypass next to nothing.
+SMALL = dict(icache_bytes=8 * 1024, icache_assoc=4, btb_entries=256, btb_assoc=4)
 
 
 class TestKernelDifferential:
@@ -133,6 +140,11 @@ class TestKernelDifferential:
                 FrontEndConfig(icache_policy="sdbp", btb_policy="lru"),
                 id="sdbp-icache-lru-btb",
             ),
+            # GHRP's I-cache executor with no coupled BTB lookup.
+            pytest.param(
+                FrontEndConfig(icache_policy="ghrp", btb_policy="lru"),
+                id="ghrp-icache-lru-btb",
+            ),
         ],
     )
     @pytest.mark.parametrize(
@@ -142,8 +154,48 @@ class TestKernelDifferential:
     def test_policy_across_archetypes(self, config, category):
         assert_identical(config, category=category)
 
+    @pytest.mark.parametrize(
+        ("icache_policy", "btb_policy"),
+        [
+            pytest.param("ghrp", "ghrp", id="ghrp"),
+            pytest.param("lru", "ghrp", id="lru-icache-ghrp-btb"),
+            pytest.param("ghrp", "lru", id="ghrp-icache-lru-btb"),
+            pytest.param("lru", "lru", id="lru"),
+        ],
+    )
+    def test_small_structures_evict_and_bypass(self, icache_policy, btb_policy):
+        config = FrontEndConfig(
+            icache_policy=icache_policy, btb_policy=btb_policy, **SMALL
+        )
+        result = assert_identical(config)
+        for policy, stats in (
+            (icache_policy, result.icache_total),
+            (btb_policy, result.btb_total),
+        ):
+            assert stats.evictions > 0
+            if policy == "ghrp":
+                assert stats.bypasses > 0
+
     def test_standalone_ghrp_btb(self):
         assert_identical(FrontEndConfig(icache_policy="lru", btb_policy="ghrp"))
+
+    def test_tokens_shared_across_ghrp_table_sizes(self):
+        # GHRP's signature-index views are memoized on the tokens, so their
+        # key must name the table size: a smaller table read through a
+        # larger one's columns indexes out of range, a larger one through
+        # a smaller one's reads the wrong counters.
+        workload = make_workload(
+            "diff", Category.SHORT_SERVER, seed=2018, trace_scale=0.05
+        )
+        records = list(workload.records())
+        tokens = tokenize_trace(records)
+        options = RunOptions(warmup_instructions=2000)
+        for index_bits in (10, 14, 10):
+            ghrp = replace(GHRPConfig.tuned_for_synthetic(), table_index_bits=index_bits)
+            config = FrontEndConfig(icache_policy="ghrp", ghrp=ghrp, **SMALL)
+            fast = build_frontend(config, engine="fast").run(tokens, options)
+            reference = build_frontend(config, engine="reference").run(records, options)
+            assert asdict(fast) == asdict(reference), index_bits
 
 
 def _shared_standalone_btb(config):
@@ -222,6 +274,7 @@ def icache_only_kernel():
             self._clock = policy._clock
 
         _make_window = LRUKernel._make_window
+        _bind_stream = LRUKernel._bind_stream
         state_digest = LRUKernel.state_digest
 
     try:

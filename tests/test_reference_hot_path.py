@@ -12,7 +12,9 @@ result.  Pinned here:
 - the four per-access value types keep their fields, equality and
   pickling;
 - a small grid's ``grid_signature`` on both engines equals the value
-  computed before the hot path was reworked.
+  computed before the hot path was reworked, and so does a grid on
+  structures small enough that every policy's victim choice shows in
+  its misses.
 """
 
 import pickle
@@ -29,6 +31,7 @@ from repro.cache.policy_api import AccessContext
 from repro.cache.set_assoc import AccessResult
 from repro.experiments.content import grid_signature
 from repro.experiments.runner import run_grid
+from repro.frontend.config import FrontEndConfig
 from repro.policies.registry import PAPER_POLICIES
 from repro.traces.reconstruct import FetchChunk
 from repro.traces.record import BranchRecord, BranchType
@@ -171,8 +174,16 @@ class TestValueTypes:
 
 
 class TestGridSignaturePin:
-    """First 4 seed-suite workloads x the paper policies at trace scale
-    0.05; the digests were computed before the hot path was reworked."""
+    """Paper policies at trace scale 0.05, pinned on both engines.
+
+    ``EXPECTED`` covers the first 4 seed-suite workloads at the paper
+    geometry, computed before the hot path was reworked; neither
+    structure fills there, so it sees no victim choice.
+    ``SMALL_EXPECTED`` covers 2 short-server workloads on an 8 KB 4-way
+    I-cache and a 256-entry 4-way BTB, computed before the GHRP and LRU
+    kernels were folded into one loop body each; there every policy
+    evicts, and no two policies miss alike.
+    """
 
     EXPECTED = {
         "reference": "a2108165414931724d60b1ee9bf60867d5379b182e947055edb3fd21cef9bbc4",
@@ -187,4 +198,28 @@ class TestGridSignaturePin:
         )
         for engine, expected in self.EXPECTED.items():
             grid = run_grid(workloads, PAPER_POLICIES, engine=engine)
+            assert grid_signature(grid) == expected, engine
+
+    SMALL_EXPECTED = {
+        "reference": "12033f12777a05aa8bba3d1e91eea5cc8e91098e4b014a96efd1087d781bbbc7",
+        "fast": "62fd763dc62a38cf3489c3a1a4824e0d6d843c032818ebefa0f8bdd6a2a87ebd",
+    }
+
+    def test_small_structures_match_the_pinned_signature(self):
+        config = FrontEndConfig(
+            icache_bytes=8 * 1024, icache_assoc=4, btb_entries=256, btb_assoc=4
+        )
+        workloads = make_suite(
+            2018, mix={Category.SHORT_SERVER: 2}, trace_scale=0.05
+        )
+        for engine, expected in self.SMALL_EXPECTED.items():
+            grid = run_grid(workloads, PAPER_POLICIES, config=config, engine=engine)
+            for workload in workloads:
+                misses = {
+                    (cell.icache_misses, cell.btb_misses)
+                    for cell in grid.cells
+                    if cell.workload == workload.name
+                }
+                # A pin that cannot tell the policies apart sees no victim.
+                assert len(misses) == len(PAPER_POLICIES), workload.name
             assert grid_signature(grid) == expected, engine
